@@ -29,7 +29,7 @@
 //! [--flight-smoke] [--out PATH]`
 
 use cqa::core::plan::{CmpOp, Plan, Selection};
-use cqa::core::{exec, AttrDef, Catalog, ExecOptions, ExecStats, HRelation, Schema};
+use cqa::core::{exec, AttrDef, Catalog, ExecCounter, ExecOptions, ExecStats, HRelation, Schema};
 use cqa::num::prng::Pcg32;
 use cqa::obs::json::Json;
 use cqa::storage::fault::FaultKind;
@@ -169,9 +169,9 @@ fn box_relation(n: usize, seed: u64) -> HRelation {
 
 /// Interleaved A/B medians of the seeded join with the full telemetry
 /// path on vs. off. "On" is the complete enabled configuration — metrics
-/// registry, JSONL event log, and a live background sampler — because
-/// that is what a production scrape target actually runs; "off" is the
-/// single master switch users get, which short-circuits all of it.
+/// registry and JSONL event log — because that is what a production
+/// scrape target actually runs; "off" is the single master switch users
+/// get, which short-circuits all of it.
 fn overhead_gate(n: usize, repeats: usize) -> (f64, f64, f64) {
     let mut cat = Catalog::new();
     cat.register("L", interval_relation("aid", n, SEED));
@@ -186,7 +186,6 @@ fn overhead_gate(n: usize, repeats: usize) -> (f64, f64, f64) {
         cqa::obs::eventlog::DEFAULT_MAX_FILES,
     )
     .expect("event log installs");
-    let sampler = cqa::obs::sampler::Sampler::start(std::time::Duration::from_millis(25), 64);
 
     let run_once = |enabled: bool| -> f64 {
         cqa::obs::set_metrics_enabled(enabled);
@@ -208,7 +207,6 @@ fn overhead_gate(n: usize, repeats: usize) -> (f64, f64, f64) {
         off.push(run_once(false));
     }
     cqa::obs::set_metrics_enabled(true);
-    drop(sampler);
     cqa::obs::eventlog::uninstall();
     let _ = std::fs::remove_file(&log_path);
     let med = |v: &mut Vec<f64>| {
@@ -255,7 +253,7 @@ fn index_experiment(n: usize) -> Json {
                 .expect("selection succeeds");
             rows += out.len();
         }
-        (stats.index_accesses(), stats.checked(), rows)
+        (stats.get(ExecCounter::IndexAccesses), stats.get(ExecCounter::FilterChecked), rows)
     };
     let (joint_accesses, joint_candidates, joint_rows) = run(&joint);
     let (sep_accesses, sep_candidates, sep_rows) = run(&separate);

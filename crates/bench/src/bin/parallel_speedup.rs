@@ -17,7 +17,7 @@
 //! Usage: `parallel_speedup [--quick] [--out PATH]`
 
 use cqa::core::ops::join_opts;
-use cqa::core::{AttrDef, ExecOptions, ExecStats, HRelation, Schema};
+use cqa::core::{AttrDef, ExecCounter, ExecOptions, ExecStats, HRelation, Schema};
 use cqa::num::prng::Pcg32;
 use cqa::obs::fnv1a;
 use cqa::obs::json::Json;
@@ -154,8 +154,8 @@ fn run_cell(left: &HRelation, right: &HRelation, opts: &ExecOptions, repeats: us
         times.push(t.elapsed().as_secs_f64() * 1e3);
         rows = out.len();
         hash = fnv1a(format!("{}", out).as_bytes());
-        checked = stats.checked();
-        rejected = stats.rejected();
+        checked = stats.get(ExecCounter::FilterChecked);
+        rejected = stats.get(ExecCounter::FilterRejected);
     }
     times.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
     let median_ms = times[times.len() / 2];

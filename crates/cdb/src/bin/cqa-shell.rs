@@ -30,26 +30,29 @@
 //!   governor aborts dump spans + metrics + the active plan to
 //!   `DIR/flight-*.json`.
 
-use cqa::core::{exec, optimizer, Catalog};
+use cqa::core::{exec, optimizer, Catalog, ExecCounter};
 use cqa::lang::lower::lower_expr;
 use cqa::lang::parse::parse_script;
 use cqa::lang::schema_def::parse_cdb;
 use cqa::lang::ScriptRunner;
-use cqa::obs::sampler::Sampler;
+use cqa::obs::metrics::MetricValue;
+use cqa::obs::Snapshot;
 use std::io::{BufRead, Write};
+use std::time::Instant;
 
-/// Shell-owned telemetry handles: dropped (and thus cleanly shut down)
-/// when the shell exits.
-#[derive(Default)]
+/// Shell-owned telemetry state: the listener (dropped, and thus cleanly
+/// shut down, when the shell exits) and the registry snapshot `\top`
+/// diffs against, taken at start-up and at each `\top`.
 struct Telemetry {
     server: Option<cqa::obs::http::TelemetryServer>,
-    sampler: Option<Sampler>,
+    top_baseline: (Snapshot, Instant),
 }
 
 fn main() {
     let mut catalog = Catalog::new();
     let mut scripts: Vec<String> = Vec::new();
-    let mut telemetry = Telemetry::default();
+    let mut telemetry =
+        Telemetry { server: None, top_baseline: (cqa::obs::snapshot(), Instant::now()) };
     let mut args = std::env::args().skip(1).peekable();
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -281,45 +284,29 @@ fn meta_command(runner: &mut ScriptRunner, telemetry: &mut Telemetry, cmd: &str)
         },
         "top" => {
             let n = rest.parse::<usize>().unwrap_or(10);
-            let sampler = telemetry.sampler.get_or_insert_with(|| {
-                Sampler::start(std::time::Duration::from_secs(1), 120)
-            });
-            match sampler.latest() {
-                None => println!(
-                    "sampler started ({} ms interval); no samples yet — re-run \\top shortly",
-                    sampler.interval().as_millis()
-                ),
-                Some(sample) => {
-                    println!(
-                        "sample #{} ({} ms interval, {} retained)",
-                        sample.seq,
-                        sampler.interval().as_millis(),
-                        sampler.samples().len()
-                    );
-                    let mut moved: Vec<(&str, u64, &str)> = sample
-                        .counters
-                        .iter()
-                        .filter(|(_, d)| *d > 0)
-                        .map(|(name, d)| (*name, *d, ""))
-                        .chain(
-                            sample
-                                .histograms
-                                .iter()
-                                .filter(|(_, d)| *d > 0)
-                                .map(|(name, d)| (*name, *d, " observations")),
-                        )
-                        .collect();
-                    moved.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(b.0)));
-                    if moved.is_empty() {
-                        println!("  (idle: nothing moved in the last interval)");
-                    }
-                    for (name, delta, suffix) in moved.iter().take(n) {
-                        println!("  {:<40} +{}{}", name, delta, suffix);
-                    }
-                    for (name, v) in sample.gauges.iter().filter(|(_, v)| *v > 0) {
-                        println!("  {:<40} {} (gauge)", name, v);
-                    }
-                }
+            let (prev, at) = std::mem::replace(
+                &mut telemetry.top_baseline,
+                (cqa::obs::snapshot(), Instant::now()),
+            );
+            let delta = telemetry.top_baseline.0.delta(&prev);
+            println!("moved in the last {:.1} s:", at.elapsed().as_secs_f64());
+            // Counters and histogram counts; gauges are high-water marks,
+            // not movement, and stay in `\metrics`.
+            let mut moved: Vec<(&str, u64, &str)> = delta
+                .entries()
+                .iter()
+                .filter_map(|(name, v)| match v {
+                    MetricValue::Counter(d @ 1..) => Some((*name, *d, "")),
+                    MetricValue::Histogram { count: d @ 1.., .. } => Some((*name, *d, " observations")),
+                    _ => None,
+                })
+                .collect();
+            moved.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(b.0)));
+            if moved.is_empty() {
+                println!("  (idle: nothing moved)");
+            }
+            for (name, d, suffix) in moved.iter().take(n) {
+                println!("  {:<40} +{}{}", name, d, suffix);
             }
         }
         "plan" => match parse_script(&format!("{}\n", rest)) {
@@ -447,12 +434,12 @@ fn meta_command(runner: &mut ScriptRunner, telemetry: &mut Telemetry, cmd: &str)
                 println!(
                     "governor checks (last run) = {}, fm peak atoms = {}",
                     o.governor.checks(),
-                    stats.fm_peak(),
+                    stats.get(ExecCounter::FmPeakAtoms),
                 );
                 println!(
                     "bbox filter: {} checked, {} rejected",
-                    stats.checked(),
-                    stats.rejected(),
+                    stats.get(ExecCounter::FilterChecked),
+                    stats.get(ExecCounter::FilterRejected),
                 );
                 let snap = cqa::obs::snapshot();
                 match (

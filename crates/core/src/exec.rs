@@ -25,7 +25,7 @@ use std::time::{Duration, Instant};
 use crate::catalog::Catalog;
 use crate::error::Result;
 use crate::ops;
-use crate::par::{ExecOptions, ExecStats};
+use crate::par::{ExecCounter, ExecOptions, ExecStats, N_COUNTERS};
 use crate::plan::Plan;
 use crate::relation::HRelation;
 use crate::safety;
@@ -54,23 +54,7 @@ pub fn execute_opts(
     opts: &ExecOptions,
     stats: &ExecStats,
 ) -> Result<HRelation> {
-    safety::check(plan)?;
-    opts.governor.arm();
-    let tel = QueryTelemetry::start(plan);
-    let run = ExecStats::new();
-    match eval(plan, catalog, opts, &run, None) {
-        Ok(out) => {
-            let out = out.into_owned();
-            stats.absorb(&run);
-            finish_run(&run, opts, out.len());
-            tel.finish_ok(&run, opts, out.len() as u64, None);
-            Ok(out)
-        }
-        Err(e) => {
-            tel.finish_err(&run, opts, &e);
-            Err(e)
-        }
-    }
+    run_plan(plan, catalog, opts, stats, None)
 }
 
 /// Per-node evaluation statistics, mirroring the plan tree.
@@ -83,20 +67,12 @@ pub struct TraceNode {
     pub rows: usize,
     /// Wall-clock time spent in this node, *excluding* its children.
     pub elapsed: Duration,
-    /// Candidate pairs/tuples checked by this node's bounding-box filter.
-    pub filter_checked: u64,
-    /// How many of those the filter rejected before exact arithmetic.
-    pub filter_rejected: u64,
-    /// Peak intermediate Fourier–Motzkin atom count inside this node.
-    pub fm_peak_atoms: u64,
-    /// Fourier–Motzkin elimination runs performed inside this node.
-    pub fm_calls: u64,
-    /// R*-tree nodes visited by index-assisted selection in this node.
-    pub index_accesses: u64,
-    /// Join candidate pairs enumerated (after hash pre-bucketing).
+    /// This node's executor counters, in [`ExecCounter`] table order
+    /// (read through [`TraceNode::counter`]).
+    counters: [u64; N_COUNTERS],
+    /// Join candidate pairs enumerated: `counter(PairsEnumerated)`, kept
+    /// as a field for readers of the pre-table API.
     pub pairs_enumerated: u64,
-    /// Conjunctions built by DNF negation expansion in this node.
-    pub dnf_conjunctions: u64,
     /// Child traces in plan order.
     pub children: Vec<TraceNode>,
 }
@@ -113,15 +89,15 @@ impl TraceNode {
             label,
             rows,
             elapsed,
-            filter_checked: stats.checked(),
-            filter_rejected: stats.rejected(),
-            fm_peak_atoms: stats.fm_peak(),
-            fm_calls: stats.fm_calls(),
-            index_accesses: stats.index_accesses(),
-            pairs_enumerated: stats.pairs_enumerated(),
-            dnf_conjunctions: stats.dnf_conjunctions(),
-            children: children,
+            counters: stats.values(),
+            pairs_enumerated: stats.get(ExecCounter::PairsEnumerated),
+            children,
         }
+    }
+
+    /// This node's value of counter `c`.
+    pub fn counter(&self, c: ExecCounter) -> u64 {
+        self.counters[c as usize]
     }
 
     /// Rows flowing *into* this node: what its candidate pool was. For a
@@ -142,40 +118,12 @@ impl TraceNode {
             .then(|| self.rows as f64 / input.max(1) as f64)
     }
 
+    /// One line per node, children indented below: the text of both
+    /// `\trace` and `EXPLAIN ANALYZE`.
     fn render(&self, out: &mut String, depth: usize) {
         use std::fmt::Write as _;
-        let _ = write!(
-            out,
-            "{}{}  [{} row(s), {:.2?}",
-            "  ".repeat(depth),
-            self.label,
-            self.rows,
-            self.elapsed
-        );
-        if self.pairs_enumerated > 0 {
-            let _ = write!(out, ", {} pair(s) enumerated", self.pairs_enumerated);
-        }
-        if self.filter_checked > 0 {
-            let _ = write!(
-                out,
-                ", bbox filter {}/{} rejected",
-                self.filter_rejected, self.filter_checked
-            );
-        }
-        if self.index_accesses > 0 {
-            let _ = write!(out, ", {} index node(s)", self.index_accesses);
-        }
-        if self.fm_peak_atoms > 0 {
-            let _ = write!(out, ", fm peak {} atom(s)", self.fm_peak_atoms);
-        }
-        let _ = writeln!(out, "]");
-        for c in &self.children {
-            c.render(out, depth + 1);
-        }
-    }
-
-    fn render_analyze(&self, out: &mut String, depth: usize) {
-        use std::fmt::Write as _;
+        use ExecCounter::*;
+        let c = |k| self.counter(k);
         let _ = write!(
             out,
             "{}{}  [{} row(s), {:.2?}",
@@ -190,29 +138,26 @@ impl TraceNode {
         if self.pairs_enumerated > 0 {
             let _ = write!(out, ", {} pair(s) enumerated", self.pairs_enumerated);
         }
-        if self.filter_checked > 0 {
+        if c(FilterChecked) > 0 {
             let _ = write!(
                 out,
                 ", bbox filter {}/{} rejected",
-                self.filter_rejected, self.filter_checked
+                c(FilterRejected),
+                c(FilterChecked)
             );
         }
-        if self.index_accesses > 0 {
-            let _ = write!(out, ", {} index node(s) accessed", self.index_accesses);
+        if c(IndexAccesses) > 0 {
+            let _ = write!(out, ", {} index node(s) accessed", c(IndexAccesses));
         }
-        if self.fm_calls > 0 {
-            let _ = write!(
-                out,
-                ", fm {} call(s) peak {} atom(s)",
-                self.fm_calls, self.fm_peak_atoms
-            );
+        if c(FmCalls) > 0 {
+            let _ = write!(out, ", fm {} call(s) peak {} atom(s)", c(FmCalls), c(FmPeakAtoms));
         }
-        if self.dnf_conjunctions > 0 {
-            let _ = write!(out, ", dnf {} conjunction(s) built", self.dnf_conjunctions);
+        if c(DnfConjunctions) > 0 {
+            let _ = write!(out, ", dnf {} conjunction(s) built", c(DnfConjunctions));
         }
         let _ = writeln!(out, "]");
-        for c in &self.children {
-            c.render_analyze(out, depth + 1);
+        for child in &self.children {
+            child.render(out, depth + 1);
         }
     }
 
@@ -227,44 +172,28 @@ impl TraceNode {
 
     fn identity_into(&self, out: &mut String, depth: usize) {
         use std::fmt::Write as _;
-        let _ = writeln!(
-            out,
-            "{}{} rows={} filter={}/{} fm={}@{} index={} pairs={} dnf={}",
-            "  ".repeat(depth),
-            self.label,
-            self.rows,
-            self.filter_rejected,
-            self.filter_checked,
-            self.fm_calls,
-            self.fm_peak_atoms,
-            self.index_accesses,
-            self.pairs_enumerated,
-            self.dnf_conjunctions,
-        );
-        for c in &self.children {
-            c.identity_into(out, depth + 1);
+        let _ = write!(out, "{}{} rows={}", "  ".repeat(depth), self.label, self.rows);
+        for c in ExecCounter::ALL {
+            let _ = write!(out, " {}={}", c.field(), self.counter(c));
+        }
+        out.push('\n');
+        for child in &self.children {
+            child.identity_into(out, depth + 1);
         }
     }
 
     /// Machine-readable span tree (the `\trace json` payload).
     pub fn to_json(&self) -> cqa_obs::json::Json {
         use cqa_obs::json::Json;
+        let counters = ExecCounter::ALL
+            .iter()
+            .map(|&c| (c.field().into(), Json::from_u64(self.counter(c))))
+            .collect();
         Json::Obj(vec![
             ("label".into(), Json::str(self.label.clone())),
             ("rows".into(), Json::from_u64(self.rows as u64)),
             ("elapsed_ns".into(), Json::from_u64(self.elapsed.as_nanos() as u64)),
-            (
-                "counters".into(),
-                Json::Obj(vec![
-                    ("filter_checked".into(), Json::from_u64(self.filter_checked)),
-                    ("filter_rejected".into(), Json::from_u64(self.filter_rejected)),
-                    ("fm_peak_atoms".into(), Json::from_u64(self.fm_peak_atoms)),
-                    ("fm_calls".into(), Json::from_u64(self.fm_calls)),
-                    ("index_accesses".into(), Json::from_u64(self.index_accesses)),
-                    ("pairs_enumerated".into(), Json::from_u64(self.pairs_enumerated)),
-                    ("dnf_conjunctions".into(), Json::from_u64(self.dnf_conjunctions)),
-                ]),
-            ),
+            ("counters".into(), Json::Obj(counters)),
             ("children".into(), Json::Arr(self.children.iter().map(|c| c.to_json()).collect())),
         ])
     }
@@ -291,13 +220,13 @@ impl std::fmt::Display for TraceNode {
 /// node accesses) followed by run totals and governor budget headroom.
 pub fn render_explain_analyze(trace: &TraceNode, opts: &ExecOptions) -> String {
     use std::fmt::Write as _;
-    let mut out = String::new();
-    trace.render_analyze(&mut out, 0);
+    use ExecCounter::*;
+    let mut out = trace.to_string();
     let total: Duration = trace.fold(Duration::ZERO, &|acc, n| acc + n.elapsed);
-    let fm_peak = trace.fold(0u64, &|acc, n| acc.max(n.fm_peak_atoms));
-    let fm_calls = trace.fold(0u64, &|acc, n| acc + n.fm_calls);
-    let dnf = trace.fold(0u64, &|acc, n| acc + n.dnf_conjunctions);
-    let _ = writeln!(out, "totals: {:.2?} wall, {} fm call(s)", total, fm_calls);
+    // Every counter over the whole tree, each combined by its kind.
+    let totals = ExecStats::new();
+    trace.fold((), &|(), n| ExecCounter::ALL.into_iter().for_each(|c| totals.add(c, n.counter(c))));
+    let _ = writeln!(out, "totals: {:.2?} wall, {} fm call(s)", total, totals.get(FmCalls));
     let g = &opts.governor;
     let headroom = |used: u64, limit: Option<u64>| match limit {
         Some(l) => format!("{}/{} ({}% headroom)", used, l, 100u64.saturating_sub(used * 100 / l.max(1))),
@@ -307,8 +236,8 @@ pub fn render_explain_analyze(trace: &TraceNode, opts: &ExecOptions) -> String {
         out,
         "governor: {} check(s); fm atoms {}; dnf conjunctions {}; output tuples {}",
         g.checks(),
-        headroom(fm_peak, g.budgets.max_fm_atoms),
-        headroom(dnf, g.budgets.max_dnf_conjunctions),
+        headroom(totals.get(FmPeakAtoms), g.budgets.max_fm_atoms),
+        headroom(totals.get(DnfConjunctions), g.budgets.max_dnf_conjunctions),
         headroom(trace.rows as u64, g.budgets.max_output_tuples),
     );
     out
@@ -333,49 +262,44 @@ pub fn execute_traced_opts(
     opts: &ExecOptions,
     stats: &ExecStats,
 ) -> Result<(HRelation, TraceNode)> {
+    let mut roots = Vec::new();
+    let rel = run_plan(plan, catalog, opts, stats, Some(&mut roots))?;
+    Ok((rel, roots.pop().expect("traced eval pushes exactly one root")))
+}
+
+/// The run lifecycle shared by [`execute_opts`] and
+/// [`execute_traced_opts`]: safety check, governor arm, evaluation (with
+/// the trace sink, if any), then run-end bookkeeping and telemetry.
+fn run_plan(
+    plan: &Plan,
+    catalog: &Catalog,
+    opts: &ExecOptions,
+    stats: &ExecStats,
+    mut trace: Option<&mut Vec<TraceNode>>,
+) -> Result<HRelation> {
     safety::check(plan)?;
     opts.governor.arm();
     let tel = QueryTelemetry::start(plan);
     let run = ExecStats::new();
-    let mut roots: Vec<TraceNode> = Vec::new();
-    match eval(plan, catalog, opts, &run, Some(&mut roots)) {
-        Ok(rel) => {
-            let rel = rel.into_owned();
-            stats.absorb(&run);
-            finish_run(&run, opts, rel.len());
-            let trace = roots.pop().expect("traced eval pushes exactly one root");
-            tel.finish_ok(&run, opts, rel.len() as u64, Some(&trace));
-            Ok((rel, trace))
+    let result = eval(plan, catalog, opts, &run, trace.as_deref_mut()).map(Cow::into_owned);
+    if let Ok(out) = &result {
+        // Run-end bookkeeping: the run's counters, run count, output rows,
+        // and governor checks into the global registry (when enabled).
+        stats.absorb(&run);
+        run.flush_global();
+        if cqa_obs::metrics_enabled() {
+            static M: std::sync::OnceLock<[&'static cqa_obs::Counter; 3]> = std::sync::OnceLock::new();
+            let [runs, rows_out, checks] = M.get_or_init(|| {
+                ["exec.runs", "exec.rows_out", "governor.checks"].map(cqa_obs::counter)
+            });
+            runs.inc();
+            rows_out.add(out.len() as u64);
+            checks.add(opts.governor.checks());
         }
-        Err(e) => {
-            tel.finish_err(&run, opts, &e);
-            Err(e)
-        }
     }
-}
-
-/// Run-end bookkeeping: mirrors the run's counters into the global
-/// `cqa-obs` registry (when enabled), plus run count, output rows, and
-/// governor checks.
-fn finish_run(run: &ExecStats, opts: &ExecOptions, rows: usize) {
-    run.flush_global();
-    if !cqa_obs::metrics_enabled() {
-        return;
-    }
-    struct RunMetrics {
-        runs: &'static cqa_obs::Counter,
-        rows_out: &'static cqa_obs::Counter,
-        governor_checks: &'static cqa_obs::Counter,
-    }
-    static M: std::sync::OnceLock<RunMetrics> = std::sync::OnceLock::new();
-    let m = M.get_or_init(|| RunMetrics {
-        runs: cqa_obs::counter("exec.runs"),
-        rows_out: cqa_obs::counter("exec.rows_out"),
-        governor_checks: cqa_obs::counter("governor.checks"),
-    });
-    m.runs.inc();
-    m.rows_out.add(rows as u64);
-    m.governor_checks.add(opts.governor.checks());
+    // A failed run pushes no root, so its finish record carries no nodes.
+    tel.finish(&run, opts, &result, trace.and_then(|t| t.last()));
+    result
 }
 
 /// Per-query telemetry: latency into the `exec.query.latency_us` timing
@@ -396,11 +320,6 @@ struct QueryTelemetry {
     hash: u64,
     logging: bool,
     flight: bool,
-}
-
-fn latency_histogram() -> &'static cqa_obs::Histogram {
-    static H: std::sync::OnceLock<&'static cqa_obs::Histogram> = std::sync::OnceLock::new();
-    H.get_or_init(|| cqa_obs::timing_histogram("exec.query.latency_us"))
 }
 
 impl QueryTelemetry {
@@ -431,46 +350,41 @@ impl QueryTelemetry {
         tel
     }
 
-    fn finish_ok(&self, run: &ExecStats, opts: &ExecOptions, rows: u64, trace: Option<&TraceNode>) {
-        let latency_us = self.t0.elapsed().as_micros() as u64;
-        if cqa_obs::metrics_enabled() {
-            latency_histogram().record(latency_us);
-        }
-        if self.logging {
-            self.emit_finish("ok", latency_us, run, opts, rows, trace);
-        }
-    }
-
-    fn finish_err(&self, run: &ExecStats, opts: &ExecOptions, e: &crate::error::CoreError) {
-        let latency_us = self.t0.elapsed().as_micros() as u64;
-        if cqa_obs::metrics_enabled() {
-            latency_histogram().record(latency_us);
-        }
-        if self.flight && e.is_governor_abort() {
-            cqa_obs::flight::record_abort(&format!("governor abort: {}", e));
-        }
-        if self.logging {
-            self.emit_finish(e.outcome(), latency_us, run, opts, 0, None);
-        }
-    }
-
-    fn emit_finish(
+    /// Records the query's latency, dumps the flight recorder on a
+    /// governor abort, and emits the `query_finish` event.
+    fn finish(
         &self,
-        outcome: &str,
-        latency_us: u64,
         run: &ExecStats,
         opts: &ExecOptions,
-        rows: u64,
+        result: &Result<HRelation>,
         trace: Option<&TraceNode>,
     ) {
         use cqa_obs::json::Json;
+        let latency_us = self.t0.elapsed().as_micros() as u64;
+        if cqa_obs::metrics_enabled() {
+            static H: std::sync::OnceLock<&'static cqa_obs::Histogram> = std::sync::OnceLock::new();
+            H.get_or_init(|| cqa_obs::timing_histogram("exec.query.latency_us")).record(latency_us);
+        }
+        let (outcome, rows) = match result {
+            Ok(rel) => ("ok", rel.len() as u64),
+            Err(e) => {
+                if self.flight && e.is_governor_abort() {
+                    cqa_obs::flight::record_abort(&format!("governor abort: {}", e));
+                }
+                (e.outcome(), 0)
+            }
+        };
+        if !self.logging {
+            return;
+        }
         let lim = |l: Option<u64>| l.map(Json::from_u64).unwrap_or(Json::Null);
+        let counter_entry = |c: ExecCounter| (c.field().into(), Json::from_u64(run.get(c)));
         let b = &opts.governor.budgets;
         let governor = Json::Obj(vec![
             ("checks".into(), Json::from_u64(opts.governor.checks())),
-            ("fm_peak_atoms".into(), Json::from_u64(run.fm_peak())),
+            counter_entry(ExecCounter::FmPeakAtoms),
             ("max_fm_atoms".into(), lim(b.max_fm_atoms)),
-            ("dnf_conjunctions".into(), Json::from_u64(run.dnf_conjunctions())),
+            counter_entry(ExecCounter::DnfConjunctions),
             ("max_dnf_conjunctions".into(), lim(b.max_dnf_conjunctions)),
             ("output_tuples".into(), Json::from_u64(rows)),
             ("max_output_tuples".into(), lim(b.max_output_tuples)),
@@ -543,14 +457,9 @@ fn eval<'a>(
             "exec.node",
             node.label.clone(),
             node.elapsed.as_nanos() as u64,
-            vec![
-                ("rows", node.rows as u64),
-                ("filter_checked", node.filter_checked),
-                ("filter_rejected", node.filter_rejected),
-                ("fm_calls", node.fm_calls),
-                ("index_accesses", node.index_accesses),
-                ("pairs_enumerated", node.pairs_enumerated),
-            ],
+            std::iter::once(("rows", node.rows as u64))
+                .chain(ExecCounter::ALL.map(|c| (c.field(), node.counter(c))))
+                .collect(),
         );
     }
     parent.push(node);
@@ -641,7 +550,7 @@ fn eval_node<'a>(
             Ok(("Difference".to_string(), t0.elapsed(), Cow::Owned(out)))
         }
         Plan::Rename { input, from, to } => {
-            let rel = eval(input, catalog, opts, child_stats, children_out.as_deref_mut())?;
+            let rel = eval(input, catalog, opts, child_stats, children_out)?;
             let t0 = Instant::now();
             let out = ops::rename(&rel, from, to)?;
             Ok((format!("Rename {} -> {}", from, to), t0.elapsed(), Cow::Owned(out)))
@@ -769,7 +678,8 @@ fn try_index_select(
     let span_start = cqa_obs::spans_enabled().then(Instant::now);
     let candidates = index.probe(&probe);
     let accesses = index.accesses() - accesses_before;
-    stats.record_index_probe(accesses);
+    stats.add(ExecCounter::IndexProbes, 1);
+    stats.add(ExecCounter::IndexAccesses, accesses);
     let via = index.attrs().join(", ");
     if let Some(t0) = span_start {
         cqa_obs::record_span(
@@ -914,9 +824,9 @@ mod tests {
         let shown = trace.to_string();
         assert!(shown.contains("row(s)"), "{}", shown);
         // The Select node checked its residuals against the bbox filter.
-        assert_eq!(trace.children[0].filter_checked, 2);
+        assert_eq!(trace.children[0].counter(ExecCounter::FilterChecked), 2);
         // The projection's eliminations are visible per node.
-        assert!(trace.fm_calls >= 1, "project runs FM per tuple");
+        assert!(trace.counter(ExecCounter::FmCalls) >= 1, "project runs FM per tuple");
         // Safety still enforced.
         let bad = Plan::Distance { left: "Probes".into(), right: "Cities".into() };
         assert!(execute_traced(&bad, &cat).is_err());
@@ -930,9 +840,7 @@ mod tests {
         execute_opts(&plan, &cat, &ExecOptions::default(), &plain_stats).unwrap();
         let traced_stats = ExecStats::new();
         execute_traced_opts(&plan, &cat, &ExecOptions::default(), &traced_stats).unwrap();
-        assert_eq!(plain_stats.checked(), traced_stats.checked());
-        assert_eq!(plain_stats.rejected(), traced_stats.rejected());
-        assert_eq!(plain_stats.fm_calls(), traced_stats.fm_calls());
+        assert_eq!(plain_stats.values(), traced_stats.values());
     }
 
     #[test]
@@ -955,8 +863,8 @@ mod tests {
         assert_eq!(plain, traced, "identical relations");
         assert_eq!(untraced_accesses, traced_accesses, "identical physical plan");
         assert!(trace.label.contains("index [x]"), "trace reports the choice: {}", trace.label);
-        assert_eq!(trace.index_accesses, traced_accesses, "trace counts the probe");
-        assert_eq!(stats.index_probes(), 1);
+        assert_eq!(trace.counter(ExecCounter::IndexAccesses), traced_accesses, "trace counts the probe");
+        assert_eq!(stats.get(ExecCounter::IndexProbes), 1);
         // The synthesized scan child keeps the tree shape.
         assert_eq!(trace.children.len(), 1);
         assert_eq!(trace.children[0].label, "Scan R");
@@ -1017,7 +925,7 @@ mod tests {
         let stats = ExecStats::new();
         let out = execute_opts(&plan, &cat, &ExecOptions::serial(), &stats).unwrap();
         assert_eq!(base, out);
-        assert_eq!(stats.checked(), 0, "serial baseline never consults the filter");
+        assert_eq!(stats.get(ExecCounter::FilterChecked), 0, "serial baseline never consults the filter");
     }
 
     #[test]
@@ -1182,8 +1090,8 @@ mod tests {
         ));
         let stats = ExecStats::new();
         execute_opts(&plan, &cat, &ExecOptions::default(), &stats).unwrap();
-        assert!(stats.fm_peak() >= 2, "peak gauge saw the interval atoms");
-        assert!(stats.fm_calls() >= 2, "one elimination per tuple");
+        assert!(stats.get(ExecCounter::FmPeakAtoms) >= 2, "peak gauge saw the interval atoms");
+        assert!(stats.get(ExecCounter::FmCalls) >= 2, "one elimination per tuple");
 
         // Difference's negation expansion answers to the DNF budget.
         let plan = Plan::Difference {
@@ -1199,7 +1107,7 @@ mod tests {
         // With room to run, the built-conjunction counter sees the work.
         let stats = ExecStats::new();
         execute_opts(&plan, &cat, &ExecOptions::default(), &stats).unwrap();
-        assert!(stats.dnf_conjunctions() > 0, "negation expansion was counted");
+        assert!(stats.get(ExecCounter::DnfConjunctions) > 0, "negation expansion was counted");
     }
 
     #[test]

@@ -58,7 +58,7 @@ pub mod value;
 pub use catalog::Catalog;
 pub use error::{CoreError, Result};
 pub use governor::{Budgets, Governor};
-pub use par::{ExecOptions, ExecStats};
+pub use par::{ExecCounter, ExecOptions, ExecStats};
 pub use plan::{Plan, Selection};
 pub use relation::HRelation;
 pub use schema::{AttrDef, AttrKind, AttrType, Schema};

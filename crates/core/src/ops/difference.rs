@@ -12,7 +12,7 @@
 //! SQL's `EXCEPT`).
 
 use crate::error::Result;
-use crate::par::{try_flat_map_chunks, ExecOptions, ExecStats};
+use crate::par::{try_flat_map_chunks, ExecCounter, ExecOptions, ExecStats};
 use crate::relation::HRelation;
 use crate::tuple::Tuple;
 use cqa_constraints::{Dnf, QuickBox};
@@ -67,7 +67,8 @@ pub fn difference_opts(
                     .iter()
                     .filter_map(|(rt, rbox)| {
                         let pruned = minuend_box.disjoint(rbox);
-                        stats.record(pruned);
+                        stats.add(ExecCounter::FilterChecked, 1);
+                        stats.add(ExecCounter::FilterRejected, pruned as u64);
                         (!pruned).then_some(*rt)
                     })
                     .collect()
@@ -86,7 +87,7 @@ pub fn difference_opts(
             let remainder = match minuend.minus_counted(
                 &subtrahend,
                 governor.budgets.max_dnf_conjunctions,
-                Some(stats.dnf_cell()),
+                Some(stats.cell(ExecCounter::DnfConjunctions)),
             ) {
                 Ok(r) => r.normalize(),
                 Err(e) => return vec![Err(e.into())],

@@ -9,7 +9,7 @@
 //! (`t`, `x`, `y`) this way.
 
 use crate::error::Result;
-use crate::par::{try_flat_map_chunks, ExecOptions, ExecStats};
+use crate::par::{try_flat_map_chunks, ExecCounter, ExecOptions, ExecStats};
 use crate::relation::{remap_vars, HRelation};
 use crate::schema::AttrKind;
 use crate::tuple::Tuple;
@@ -19,10 +19,7 @@ use std::collections::HashMap;
 
 /// The tuple's values at `positions`, or `None` if any is null (narrow
 /// semantics: a null shared attribute never joins).
-fn shared_key<'t>(
-    t: &'t Tuple,
-    positions: impl Iterator<Item = usize>,
-) -> Option<Vec<&'t Value>> {
+fn shared_key(t: &Tuple, positions: impl Iterator<Item = usize>) -> Option<Vec<&Value>> {
     positions.map(|i| t.value(i)).collect()
 }
 
@@ -118,7 +115,7 @@ pub fn join_opts(
                     .map(|v| v.as_slice())
                     .unwrap_or(&[]),
             };
-            stats.record_pairs(candidates.len() as u64);
+            stats.add(ExecCounter::PairsEnumerated, candidates.len() as u64);
             // Left constraints already sit at output positions (the output
             // schema starts with the left schema), so one box per left
             // tuple serves every pair.
@@ -131,9 +128,9 @@ pub fn join_opts(
             for &ri in candidates {
                 let (rt, rconj, rbox) = &rights[ri];
                 if let Some(lb) = &left_box {
-                    let rejected = lb.disjoint(rbox);
-                    stats.record(rejected);
-                    if rejected {
+                    stats.add(ExecCounter::FilterChecked, 1);
+                    if lb.disjoint(rbox) {
+                        stats.add(ExecCounter::FilterRejected, 1);
                         continue;
                     }
                 }

@@ -17,7 +17,7 @@
 //! and `y` is constraint.
 
 use crate::error::{CoreError, Result};
-use crate::par::{try_map_chunks, ExecOptions, ExecStats};
+use crate::par::{try_map_chunks, ExecCounter, ExecOptions, ExecStats};
 use crate::relation::HRelation;
 use crate::schema::{AttrKind, AttrType, Schema};
 use crate::tuple::Tuple;
@@ -251,9 +251,9 @@ pub fn select_opts(
                 }
             }
             if opts.bbox_filter {
-                let rejected = residual.quick_box(arity).is_known_empty();
-                stats.record(rejected);
-                if rejected {
+                stats.add(ExecCounter::FilterChecked, 1);
+                if residual.quick_box(arity).is_known_empty() {
+                    stats.add(ExecCounter::FilterRejected, 1);
                     return Ok(None);
                 }
             }

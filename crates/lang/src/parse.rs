@@ -198,6 +198,9 @@ impl Parser {
                 let b = self.ident()?;
                 self.keyword("distance")?;
                 let d = self.number()?;
+                if d.is_negative() {
+                    return Err(self.err("distance must be non-negative"));
+                }
                 Ok(QueryExpr::BufferJoin(a, b, d))
             }
             "knearest" => {

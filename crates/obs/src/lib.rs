@@ -23,8 +23,6 @@
 //! * [`prom`] — Prometheus text-format exposition of a snapshot
 //!   (`\metrics export` and the `--telemetry-port` listener).
 //! * [`eventlog`] — JSONL query event log with size-based rotation.
-//! * [`sampler`] — background thread snapshotting registry deltas into a
-//!   bounded ring for `\top`-style live display.
 //! * [`flight`] — crash-forensics dumps (panic hook / governor abort).
 //! * [`http`] — minimal blocking TCP listener serving `GET /metrics`.
 //! * [`error`] — the layer's typed errors ([`ObsError`], [`JsonError`]).
@@ -39,7 +37,6 @@ pub mod http;
 pub mod json;
 pub mod metrics;
 pub mod prom;
-pub mod sampler;
 pub mod span;
 
 pub use error::{JsonError, ObsError};
@@ -47,7 +44,6 @@ pub use metrics::{
     counter, gauge, histogram, metrics_enabled, reset_metrics, set_metrics_enabled, snapshot,
     timing_histogram, Counter, Gauge, Histogram, Snapshot,
 };
-pub use sampler::{Sample, Sampler};
 pub use span::{
     drain_spans, peek_spans, record_span, reset_spans, set_span_capacity, set_spans_enabled,
     spans_enabled, Span, SpanTrace,

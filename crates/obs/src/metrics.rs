@@ -426,6 +426,31 @@ impl Snapshot {
         }
     }
 
+    /// What moved since `prev`: counters and histogram counts, sums, and
+    /// buckets become increments over `prev` (saturating at zero across a
+    /// reset); gauges keep their absolute high-water mark. A metric absent
+    /// from `prev` moved by its whole value. This is the shell's `\top`.
+    pub fn delta(&self, prev: &Snapshot) -> Snapshot {
+        use MetricValue::{Counter, Histogram};
+        let entries = self.entries.iter().map(|(name, v)| {
+            let moved = match (v, prev.get(name)) {
+                (Counter(n), Some(Counter(p))) => Counter(n.saturating_sub(*p)),
+                (
+                    Histogram { count, sum, buckets, timing },
+                    Some(Histogram { count: c0, sum: s0, buckets: b0, .. }),
+                ) => Histogram {
+                    count: count.saturating_sub(*c0),
+                    sum: sum.saturating_sub(*s0),
+                    buckets: Box::new(std::array::from_fn(|i| buckets[i].saturating_sub(b0[i]))),
+                    timing: *timing,
+                },
+                _ => v.clone(),
+            };
+            (*name, moved)
+        });
+        Snapshot { entries: entries.collect() }
+    }
+
     /// Human-readable one-metric-per-line rendering (sorted by name).
     pub fn render_text(&self) -> String {
         use std::fmt::Write as _;
@@ -642,6 +667,21 @@ mod tests {
         // JSON parses back.
         let parsed = crate::json::parse(&snap.render_json()).unwrap();
         assert!(parsed.get("test.registry.alpha").is_some());
+    }
+
+    #[test]
+    fn delta_reports_what_moved_between_snapshots() {
+        let c = counter("test.delta.work");
+        gauge("test.delta.peak").record_max(4);
+        let prev = snapshot();
+        c.add(10);
+        histogram("test.delta.sizes").record(3);
+        let cur = snapshot();
+        let d = cur.delta(&prev);
+        assert_eq!(d.counter("test.delta.work"), 10, "the increment after the baseline");
+        assert_eq!(d.gauge("test.delta.peak"), 4, "gauges stay absolute");
+        assert!(matches!(d.get("test.delta.sizes"), Some(MetricValue::Histogram { count: 1, sum: 3, .. })));
+        assert_eq!(cur.delta(&cur).counter("test.delta.work"), 0, "nothing moved");
     }
 
     #[test]

@@ -163,8 +163,7 @@ pub fn drain_spans() -> SpanTrace {
 
 /// Copies the newest `n` spans without draining the ring. This is the
 /// flight recorder's read path: a crash dump must not perturb the trace
-/// an operator later drains (and readers like the sampler must never
-/// *write* into the ring).
+/// an operator later drains.
 pub fn peek_spans(n: usize) -> SpanTrace {
     let r = lock_ring();
     let skip = r.spans.len().saturating_sub(n);

@@ -127,10 +127,7 @@ impl<D: DiskManager> FaultyDisk<D> {
 
     fn injected_io_error(&mut self, op: &'static str) -> StorageError {
         self.counts.io_errors += 1;
-        StorageError::Io(std::io::Error::new(
-            std::io::ErrorKind::Other,
-            format!("injected {} fault", op),
-        ))
+        StorageError::Io(std::io::Error::other(format!("injected {} fault", op)))
     }
 
     /// Draws one fault decision. Zero-rate kinds consume no randomness, so

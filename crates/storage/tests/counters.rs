@@ -12,7 +12,7 @@ use cqa_storage::{BufferPool, PAGE_SIZE};
 
 #[test]
 fn hits_and_misses_are_counted_globally() {
-    let snap_before = cqa_obs::snapshot();
+    let before = cqa_obs::snapshot();
     let mut pool = BufferPool::new(MemDisk::new(), 2);
     let a = pool.allocate().unwrap();
     let b = pool.allocate().unwrap();
@@ -25,14 +25,9 @@ fn hits_and_misses_are_counted_globally() {
     let s = pool.stats();
     assert_eq!(s.logical, 5);
     assert_eq!(s.physical, 3);
-    let snap = cqa_obs::snapshot();
-    assert!(
-        snap.counter("storage.pool.logical") >= snap_before.counter("storage.pool.logical") + 5
-    );
-    assert!(
-        snap.counter("storage.pool.physical")
-            >= snap_before.counter("storage.pool.physical") + 3
-    );
+    let moved = cqa_obs::snapshot().delta(&before);
+    assert!(moved.counter("storage.pool.logical") >= 5);
+    assert!(moved.counter("storage.pool.physical") >= 3);
 }
 
 #[test]
@@ -40,7 +35,7 @@ fn transient_io_errors_retry_and_count() {
     // A seeded fault rate low enough that 3 attempts with backoff always
     // get through on this workload, high enough to actually fire.
     let disk = FaultyDisk::new(MemDisk::new(), FaultConfig::only(7, FaultKind::IoError, 0.2));
-    let snap_before = cqa_obs::snapshot();
+    let before = cqa_obs::snapshot();
     let mut pool = BufferPool::new(disk, 1);
     let mut pages = Vec::new();
     for _ in 0..8 {
@@ -58,11 +53,8 @@ fn transient_io_errors_retry_and_count() {
     let s = pool.stats();
     assert!(s.io_retries > 0, "the 20% fault rate must have fired: {:?}", s);
     assert_eq!(pool.disk().counts().io_errors, s.io_retries, "every injected error was retried");
-    let snap = cqa_obs::snapshot();
-    assert!(
-        snap.counter("storage.pool.io_retries")
-            >= snap_before.counter("storage.pool.io_retries") + s.io_retries
-    );
+    let moved = cqa_obs::snapshot().delta(&before);
+    assert!(moved.counter("storage.pool.io_retries") >= s.io_retries);
 }
 
 #[test]
@@ -70,7 +62,7 @@ fn corrupt_rereads_heal_bit_flips_and_count() {
     // Bit flips are read-side: a checksum mismatch evicts the bytes and
     // rereads once, which heals a transient flip.
     let disk = FaultyDisk::new(MemDisk::new(), FaultConfig::only(11, FaultKind::BitFlip, 0.3));
-    let snap_before = cqa_obs::snapshot();
+    let before = cqa_obs::snapshot();
     let mut pool = BufferPool::new(disk, 1).with_checksums();
     let mut pages = Vec::new();
     for _ in 0..12 {
@@ -96,9 +88,6 @@ fn corrupt_rereads_heal_bit_flips_and_count() {
         healed = pool.stats().corrupt_rereads;
     }
     assert!(healed > 0, "the 30% flip rate must have triggered rereads");
-    let snap = cqa_obs::snapshot();
-    assert!(
-        snap.counter("storage.pool.corrupt_rereads")
-            >= snap_before.counter("storage.pool.corrupt_rereads") + healed
-    );
+    let moved = cqa_obs::snapshot().delta(&before);
+    assert!(moved.counter("storage.pool.corrupt_rereads") >= healed);
 }

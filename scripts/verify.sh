@@ -30,7 +30,7 @@ cargo run -q --release -p cqa-bench --bin fault_matrix | tail -2
 
 echo "== observability gates: overhead <= 3%, golden metrics snapshot =="
 # --gate makes obs_bench exit non-zero if the full telemetry-enabled
-# median (metrics + event log + live sampler) exceeds the disabled
+# median (metrics + event log) exceeds the disabled
 # median by more than 3% on the bench join.
 cargo run -q --release -p cqa-bench --bin obs_bench -- --quick --gate --out /tmp/verify_obs.json
 # The seeded golden workload must reproduce the committed counter
@@ -56,8 +56,8 @@ echo "golden Prometheus exposition matches"
 echo "== flight-recorder smoke: governor abort + panic both dump =="
 cargo run -q --release -p cqa-bench --bin obs_bench -- --flight-smoke 2>/dev/null | grep FLIGHT_SMOKE
 
-echo "== clippy (obs crate, -D warnings) =="
-cargo clippy -q -p cqa-obs -- -D warnings
+echo "== clippy (workspace, -D warnings) =="
+cargo clippy -q --workspace --no-deps -- -D warnings
 echo "clippy clean"
 
 echo "== verify OK =="

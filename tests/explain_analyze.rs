@@ -8,7 +8,7 @@
 //! the global registry.
 
 use cqa::core::plan::{CmpOp, Plan, Selection};
-use cqa::core::{exec, AttrDef, Catalog, ExecOptions, ExecStats, HRelation, Schema};
+use cqa::core::{exec, AttrDef, Catalog, ExecCounter, ExecOptions, ExecStats, HRelation, Schema};
 use cqa::lang::schema_def::parse_cdb;
 use cqa::lang::ScriptRunner;
 use cqa::num::prng::Pcg32;
@@ -61,14 +61,11 @@ fn traced_equals_untraced_with_identical_plan_choice() {
             exec::execute_traced_opts(&plan, &cat, &opts, &traced_stats).unwrap();
         assert_eq!(plain, traced, "threads={}", threads);
         // Same physical choice: both probed the index, with the same cost.
-        assert!(untraced_stats.index_probes() > 0, "untraced used the index");
-        assert_eq!(untraced_stats.index_probes(), traced_stats.index_probes());
-        assert_eq!(untraced_stats.index_accesses(), traced_stats.index_accesses());
-        assert_eq!(untraced_stats.checked(), traced_stats.checked());
-        assert_eq!(untraced_stats.fm_calls(), traced_stats.fm_calls());
+        assert!(untraced_stats.get(ExecCounter::IndexProbes) > 0, "untraced used the index");
+        assert_eq!(untraced_stats.values(), traced_stats.values());
         let select = &trace.children[0];
         assert!(select.label.contains("index [x, y]"), "trace shows the choice: {}", select.label);
-        assert!(select.index_accesses > 0);
+        assert!(select.counter(ExecCounter::IndexAccesses) > 0);
     }
 }
 
@@ -94,6 +91,7 @@ fn trace_json_round_trips_with_schema() {
             "filter_rejected",
             "fm_peak_atoms",
             "fm_calls",
+            "index_probes",
             "index_accesses",
             "pairs_enumerated",
             "dnf_conjunctions",
@@ -138,8 +136,7 @@ fn explain_analyze_reports_index_choice_and_headroom() {
 fn runner_feeds_metrics_registry() {
     // Global registry state is process-wide; this test only asserts
     // *growth*, so concurrent tests in this binary can only help it.
-    let snap_before = cqa::obs::snapshot();
-    let before = |name: &str| snap_before.counter(name);
+    let before = cqa::obs::snapshot();
 
     let mut cat = Catalog::new();
     parse_cdb(
@@ -160,13 +157,11 @@ tuple Land { landId = "B"; 4 <= x; x <= 6 }
     assert!(trace.pairs_enumerated > 0, "join enumerated bucketed pairs");
 
     let snap = cqa::obs::snapshot();
-    assert!(snap.counter("exec.runs") >= before("exec.runs") + 3, "three statements ran");
-    assert!(snap.counter("exec.rows_out") > before("exec.rows_out"));
-    assert!(snap.counter("exec.fm.calls") > before("exec.fm.calls"));
-    assert!(
-        snap.counter("exec.join.pairs_enumerated") > before("exec.join.pairs_enumerated")
-    );
-    assert!(snap.counter("governor.checks") > before("governor.checks"));
+    let moved = snap.delta(&before);
+    assert!(moved.counter("exec.runs") >= 3, "three statements ran");
+    for name in ["exec.rows_out", "exec.fm.calls", "exec.join.pairs_enumerated", "governor.checks"] {
+        assert!(moved.counter(name) > 0, "{} grew", name);
+    }
     // The text rendering lists the canonical names.
     let text = snap.render_text();
     assert!(text.contains("exec.runs"), "{}", text);

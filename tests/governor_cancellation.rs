@@ -136,8 +136,7 @@ fn rearming_after_a_trip_recovers_fully() {
 }
 
 /// Property form of the same contract: random trip points and thread
-/// counts. Compiled only with `--features proptest` (tier-1 stays lean).
-#[cfg(feature = "proptest")]
+/// counts.
 mod props {
     use super::*;
     use proptest::prelude::*;
