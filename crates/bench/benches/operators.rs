@@ -4,9 +4,9 @@
 //! equivalent inputs.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use cqa::constraints::{Atom, Conjunction, LinExpr, Var};
+use cqa::constraints::{Atom, Budget, Conjunction, LinExpr, Var};
 use cqa::core::plan::{CmpOp, Selection};
-use cqa::core::{ops, AttrDef, HRelation, Schema};
+use cqa::core::{ops, AttrDef, ExecOptions, ExecStats, HRelation, Schema};
 use cqa::num::Rat;
 
 fn interval_relation(n: usize) -> HRelation {
@@ -32,15 +32,18 @@ fn interval_relation(n: usize) -> HRelation {
 fn bench_operators(c: &mut Criterion) {
     let rel = interval_relation(500);
     let sel = Selection::all().cmp_int("x", CmpOp::Ge, 300).cmp_int("x", CmpOp::Le, 500);
-    c.bench_function("select_500", |b| b.iter(|| ops::select(&rel, &sel).unwrap()));
+    let (opts, stats) = (ExecOptions::default(), ExecStats::new());
+    c.bench_function("select_500", |b| b.iter(|| ops::select(&rel, &sel, &opts, &stats).unwrap()));
     c.bench_function("project_500", |b| {
-        b.iter(|| ops::project(&rel, &["id".into(), "x".into()]).unwrap())
+        b.iter(|| ops::project(&rel, &["id".into(), "x".into()], &opts, &stats).unwrap())
     });
 
     let small = interval_relation(40);
-    c.bench_function("join_40x40", |b| b.iter(|| ops::join(&small, &small).unwrap()));
+    c.bench_function("join_40x40", |b| {
+        b.iter(|| ops::join(&small, &small, &opts, &stats).unwrap())
+    });
     c.bench_function("difference_40x40", |b| {
-        b.iter(|| ops::difference(&small, &small).unwrap())
+        b.iter(|| ops::difference(&small, &small, &opts, &stats).unwrap())
     });
 }
 
@@ -102,7 +105,9 @@ fn bench_pruning(c: &mut Criterion) {
         }
     }
     let eliminate_vars: BTreeSet<Var> = vars[..3].iter().copied().collect();
-    c.bench_function("fm_pruned", |bch| bch.iter(|| eliminate(&atoms, &eliminate_vars)));
+    c.bench_function("fm_pruned", |bch| {
+        bch.iter(|| eliminate(&atoms, &eliminate_vars, &Budget::default()))
+    });
     c.bench_function("fm_unpruned", |bch| {
         bch.iter(|| eliminate_unpruned(&atoms, &eliminate_vars))
     });

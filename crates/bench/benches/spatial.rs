@@ -30,7 +30,7 @@ fn bench_buffer_join(c: &mut Criterion) {
         let cities = grid_points(n, 3);
         let rds = roads(12);
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
-            b.iter(|| buffer_join(&rds, &cities, &Rat::from_int(5)))
+            b.iter(|| buffer_join(&rds, &cities, &Rat::from_int(5), 1))
         });
     }
     group.finish();
@@ -42,7 +42,7 @@ fn bench_k_nearest(c: &mut Criterion) {
         let cities = grid_points(n, 3);
         let rds = roads(12);
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
-            b.iter(|| k_nearest(&rds, &cities, 3))
+            b.iter(|| k_nearest(&rds, &cities, 3, 1))
         });
     }
     group.finish();

@@ -16,7 +16,7 @@
 //!
 //! Usage: `parallel_speedup [--quick] [--out PATH]`
 
-use cqa::core::ops::join_opts;
+use cqa::core::ops::join;
 use cqa::core::{AttrDef, ExecCounter, ExecOptions, ExecStats, HRelation, Schema};
 use cqa::num::prng::Pcg32;
 use cqa::obs::fnv1a;
@@ -150,7 +150,7 @@ fn run_cell(left: &HRelation, right: &HRelation, opts: &ExecOptions, repeats: us
     for _ in 0..repeats {
         let stats = ExecStats::new();
         let t = Instant::now();
-        let out = join_opts(left, right, opts, &stats).expect("join succeeds");
+        let out = join(left, right, opts, &stats).expect("join succeeds");
         times.push(t.elapsed().as_secs_f64() * 1e3);
         rows = out.len();
         hash = fnv1a(format!("{}", out).as_bytes());

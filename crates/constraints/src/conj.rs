@@ -9,7 +9,8 @@
 
 use crate::assignment::Assignment;
 use crate::atom::{Atom, Rel};
-use crate::fourier_motzkin::{self, Eliminated, FmBudget, FmBudgetExceeded};
+use crate::budget::{Budget, BudgetExceeded};
+use crate::fourier_motzkin::{self, Eliminated};
 use crate::interval::{Bound, Interval};
 use crate::linexpr::LinExpr;
 use crate::var::Var;
@@ -121,51 +122,40 @@ impl Conjunction {
         Some(result)
     }
 
-    /// Decides satisfiability over the rationals (exact).
+    /// Decides satisfiability over the rationals (exact), without limits.
     pub fn is_satisfiable(&self) -> bool {
-        match fourier_motzkin::eliminate(&self.atoms, &self.vars()) {
+        // An unlimited budget never trips.
+        self.is_satisfiable_budgeted(&Budget::default()).unwrap_or(false)
+    }
+
+    /// [`Self::is_satisfiable`] under a budget: the decision runs full
+    /// variable elimination, so a blow-up surfaces as a typed error
+    /// instead of unbounded allocation.
+    pub fn is_satisfiable_budgeted(&self, budget: &Budget<'_>) -> Result<bool, BudgetExceeded> {
+        Ok(match fourier_motzkin::eliminate(&self.atoms, &self.vars(), budget)? {
             Eliminated::Atoms(rest) => {
                 debug_assert!(rest.is_empty(), "eliminating all vars leaves ground atoms only");
                 true
             }
             Eliminated::Unsat => false,
-        }
+        })
     }
 
-    /// [`Self::is_satisfiable`] under an elimination budget: the decision
-    /// still runs full variable elimination, but a blow-up surfaces as a
-    /// typed error instead of unbounded allocation.
-    pub fn is_satisfiable_budgeted(
-        &self,
-        budget: FmBudget<'_>,
-    ) -> Result<bool, FmBudgetExceeded> {
-        match fourier_motzkin::eliminate_budgeted(&self.atoms, &self.vars(), budget)? {
-            Eliminated::Atoms(rest) => {
-                debug_assert!(rest.is_empty(), "eliminating all vars leaves ground atoms only");
-                Ok(true)
-            }
-            Eliminated::Unsat => Ok(false),
-        }
-    }
-
-    /// Projects out `vars`: returns a conjunction equivalent to
-    /// `∃ vars . self` over the remaining variables.
+    /// Projects out `vars`, without limits: returns a conjunction
+    /// equivalent to `∃ vars . self` over the remaining variables.
     pub fn eliminate(&self, vars: impl IntoIterator<Item = Var>) -> Conjunction {
-        let vars: BTreeSet<Var> = vars.into_iter().collect();
-        match fourier_motzkin::eliminate(&self.atoms, &vars) {
-            Eliminated::Atoms(atoms) => Conjunction { atoms },
-            Eliminated::Unsat => Conjunction::falsum(),
-        }
+        // An unlimited budget never trips.
+        self.eliminate_budgeted(vars, &Budget::default()).unwrap_or_else(|_| Conjunction::falsum())
     }
 
-    /// [`Self::eliminate`] under an elimination budget.
+    /// [`Self::eliminate`] under a budget.
     pub fn eliminate_budgeted(
         &self,
         vars: impl IntoIterator<Item = Var>,
-        budget: FmBudget<'_>,
-    ) -> Result<Conjunction, FmBudgetExceeded> {
+        budget: &Budget<'_>,
+    ) -> Result<Conjunction, BudgetExceeded> {
         let vars: BTreeSet<Var> = vars.into_iter().collect();
-        Ok(match fourier_motzkin::eliminate_budgeted(&self.atoms, &vars, budget)? {
+        Ok(match fourier_motzkin::eliminate(&self.atoms, &vars, budget)? {
             Eliminated::Atoms(atoms) => Conjunction { atoms },
             Eliminated::Unsat => Conjunction::falsum(),
         })

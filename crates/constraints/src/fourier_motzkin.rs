@@ -18,62 +18,10 @@
 //! of constraints sharing the same linear part.
 
 use crate::atom::{Atom, Rel};
+use crate::budget::{Budget, BudgetExceeded};
 use crate::var::Var;
 use cqa_num::Rat;
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Optional resource bounds for one elimination run.
-///
-/// Elimination can square the working system per variable; a budget turns
-/// that blow-up into a typed error instead of unbounded memory growth.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct FmBudget<'a> {
-    /// Abort when the working system holds more than this many atoms after
-    /// any variable has been eliminated (and pruned, when pruning is on).
-    pub max_atoms: Option<u64>,
-    /// If set, the peak working-system size is recorded here (`fetch_max`),
-    /// so callers can report how close a run came to its limit.
-    pub peak: Option<&'a AtomicU64>,
-    /// If set, incremented once per elimination run — the observability
-    /// layer's "FM calls" counter.
-    pub calls: Option<&'a AtomicU64>,
-}
-
-impl<'a> FmBudget<'a> {
-    /// Charges `atoms` against the budget, updating the peak gauge.
-    fn charge(&self, atoms: usize) -> Result<(), FmBudgetExceeded> {
-        let atoms = atoms as u64;
-        if let Some(peak) = self.peak {
-            peak.fetch_max(atoms, Ordering::Relaxed);
-        }
-        match self.max_atoms {
-            Some(limit) if atoms > limit => Err(FmBudgetExceeded { atoms, limit }),
-            _ => Ok(()),
-        }
-    }
-}
-
-/// The intermediate system outgrew [`FmBudget::max_atoms`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FmBudgetExceeded {
-    /// Working-system size when the budget tripped.
-    pub atoms: u64,
-    /// The configured limit.
-    pub limit: u64,
-}
-
-impl std::fmt::Display for FmBudgetExceeded {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "elimination exceeded its atom budget ({} atoms, limit {})",
-            self.atoms, self.limit
-        )
-    }
-}
-
-impl std::error::Error for FmBudgetExceeded {}
 
 /// Outcome of an elimination: either a (possibly empty) set of atoms over
 /// the remaining variables, or a proof that the input was unsatisfiable.
@@ -88,44 +36,34 @@ pub enum Eliminated {
 /// Eliminates every variable in `vars` from the conjunction `atoms`.
 ///
 /// The result is a set of atoms over the remaining variables whose
-/// conjunction is equivalent to `∃ vars. ⋀ atoms`.
-pub fn eliminate(atoms: &BTreeSet<Atom>, vars: &BTreeSet<Var>) -> Eliminated {
-    infallible(eliminate_opt(atoms, vars, true, FmBudget::default()))
-}
-
-/// [`eliminate`] without the parallel-constraint pruning pass — the
-/// ablation baseline benchmarked in `cqa-bench`. Semantically equivalent,
-/// but intermediate conjunctions can grow quadratically per variable.
-pub fn eliminate_unpruned(atoms: &BTreeSet<Atom>, vars: &BTreeSet<Var>) -> Eliminated {
-    infallible(eliminate_opt(atoms, vars, false, FmBudget::default()))
-}
-
-/// [`eliminate`] under a resource budget: the working-system size is
-/// checked after every eliminated variable, so a blow-up surfaces as
-/// [`FmBudgetExceeded`] instead of unbounded allocation.
-pub fn eliminate_budgeted(
+/// conjunction is equivalent to `∃ vars. ⋀ atoms`. The working-system
+/// size is charged against `budget` after every eliminated variable, so
+/// a blow-up surfaces as [`BudgetExceeded`] instead of unbounded
+/// allocation.
+pub fn eliminate(
     atoms: &BTreeSet<Atom>,
     vars: &BTreeSet<Var>,
-    budget: FmBudget<'_>,
-) -> Result<Eliminated, FmBudgetExceeded> {
+    budget: &Budget<'_>,
+) -> Result<Eliminated, BudgetExceeded> {
     eliminate_opt(atoms, vars, true, budget)
 }
 
-/// An empty budget never trips, so `Err` is unreachable; fold it away
-/// without a panic path.
-fn infallible(r: Result<Eliminated, FmBudgetExceeded>) -> Eliminated {
-    r.unwrap_or(Eliminated::Unsat)
+/// [`eliminate`] without the parallel-constraint pruning pass and without
+/// a budget — the ablation baseline benchmarked in `cqa-bench`.
+/// Semantically equivalent, but intermediate conjunctions can grow
+/// quadratically per variable.
+pub fn eliminate_unpruned(atoms: &BTreeSet<Atom>, vars: &BTreeSet<Var>) -> Eliminated {
+    // An unlimited budget never trips.
+    eliminate_opt(atoms, vars, false, &Budget::default()).unwrap_or(Eliminated::Unsat)
 }
 
 fn eliminate_opt(
     atoms: &BTreeSet<Atom>,
     vars: &BTreeSet<Var>,
     prune: bool,
-    budget: FmBudget<'_>,
-) -> Result<Eliminated, FmBudgetExceeded> {
-    if let Some(calls) = budget.calls {
-        calls.fetch_add(1, Ordering::Relaxed);
-    }
+    budget: &Budget<'_>,
+) -> Result<Eliminated, BudgetExceeded> {
+    budget.count_fm_call();
     let mut current: BTreeSet<Atom> = BTreeSet::new();
     for a in atoms {
         match a.ground_truth() {
@@ -136,7 +74,7 @@ fn eliminate_opt(
             }
         }
     }
-    budget.charge(current.len())?;
+    budget.charge_fm_atoms(current.len())?;
     // Eliminate in an order that keeps intermediate growth small: at each
     // round pick the variable with the fewest lower×upper combinations.
     let mut remaining: BTreeSet<Var> = vars.clone();
@@ -150,7 +88,7 @@ fn eliminate_opt(
         if prune {
             current = prune_parallel(current);
         }
-        budget.charge(current.len())?;
+        budget.charge_fm_atoms(current.len())?;
     }
     Ok(Eliminated::Atoms(current))
 }
@@ -293,6 +231,7 @@ pub fn prune_parallel(atoms: BTreeSet<Atom>) -> BTreeSet<Atom> {
 mod tests {
     use super::*;
     use crate::LinExpr;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     fn x() -> Var {
         Var(0)
@@ -311,6 +250,10 @@ mod tests {
         list.into_iter().collect()
     }
 
+    fn elim(atoms: &BTreeSet<Atom>, vars: &BTreeSet<Var>) -> Eliminated {
+        eliminate(atoms, vars, &Budget::default()).unwrap()
+    }
+
     #[test]
     fn eliminate_between_bounds() {
         // 1 ≤ x ∧ x ≤ y   ⇒ ∃x: 1 ≤ y
@@ -318,7 +261,7 @@ mod tests {
             Atom::ge(LinExpr::var(x()), LinExpr::constant_int(1)),
             Atom::le(LinExpr::var(x()), LinExpr::var(y())),
         ]);
-        let got = eliminate(&set, &[x()].into_iter().collect());
+        let got = elim(&set, &[x()].into_iter().collect());
         let want = atoms(vec![Atom::ge(LinExpr::var(y()), LinExpr::constant_int(1))]);
         assert_eq!(got, Eliminated::Atoms(want));
     }
@@ -330,7 +273,7 @@ mod tests {
             Atom::gt(LinExpr::var(x()), LinExpr::constant_int(1)),
             Atom::le(LinExpr::var(x()), LinExpr::var(y())),
         ]);
-        let got = eliminate(&set, &[x()].into_iter().collect());
+        let got = elim(&set, &[x()].into_iter().collect());
         let want = atoms(vec![Atom::gt(LinExpr::var(y()), LinExpr::constant_int(1))]);
         assert_eq!(got, Eliminated::Atoms(want));
     }
@@ -342,7 +285,7 @@ mod tests {
             Atom::lt(LinExpr::var(x()), LinExpr::constant_int(1)),
             Atom::gt(LinExpr::var(x()), LinExpr::constant_int(2)),
         ]);
-        assert_eq!(eliminate(&set, &[x()].into_iter().collect()), Eliminated::Unsat);
+        assert_eq!(elim(&set, &[x()].into_iter().collect()), Eliminated::Unsat);
     }
 
     #[test]
@@ -352,12 +295,12 @@ mod tests {
             Atom::le(LinExpr::var(x()), LinExpr::constant_int(1)),
             Atom::ge(LinExpr::var(x()), LinExpr::constant_int(1)),
         ]);
-        assert!(matches!(eliminate(&sat, &[x()].into_iter().collect()), Eliminated::Atoms(_)));
+        assert!(matches!(elim(&sat, &[x()].into_iter().collect()), Eliminated::Atoms(_)));
         let unsat = atoms(vec![
             Atom::lt(LinExpr::var(x()), LinExpr::constant_int(1)),
             Atom::ge(LinExpr::var(x()), LinExpr::constant_int(1)),
         ]);
-        assert_eq!(eliminate(&unsat, &[x()].into_iter().collect()), Eliminated::Unsat);
+        assert_eq!(elim(&unsat, &[x()].into_iter().collect()), Eliminated::Unsat);
     }
 
     #[test]
@@ -371,7 +314,7 @@ mod tests {
             Atom::le(LinExpr::var(x()), LinExpr::constant_int(3)),
             Atom::ge(LinExpr::var(x()), LinExpr::constant_int(0)),
         ]);
-        let got = eliminate(&set, &[x()].into_iter().collect());
+        let got = elim(&set, &[x()].into_iter().collect());
         let want = atoms(vec![
             Atom::le(LinExpr::var(y()), LinExpr::constant_int(2)),
             Atom::ge(LinExpr::var(y()), LinExpr::constant_int(-1)),
@@ -391,7 +334,7 @@ mod tests {
             Atom::ge(LinExpr::var(y()), LinExpr::constant_int(1)),
         ]);
         let all: BTreeSet<Var> = [x(), y()].into_iter().collect();
-        assert_eq!(eliminate(&set, &all), Eliminated::Atoms(BTreeSet::new()));
+        assert_eq!(elim(&set, &all), Eliminated::Atoms(BTreeSet::new()));
         // Make it strict and it becomes unsatisfiable.
         let strict = atoms(vec![
             Atom::lt(
@@ -401,7 +344,7 @@ mod tests {
             Atom::ge(LinExpr::var(x()), LinExpr::constant_int(1)),
             Atom::ge(LinExpr::var(y()), LinExpr::constant_int(1)),
         ]);
-        assert_eq!(eliminate(&strict, &all), Eliminated::Unsat);
+        assert_eq!(elim(&strict, &all), Eliminated::Unsat);
     }
 
     #[test]
@@ -414,7 +357,7 @@ mod tests {
             Atom::var_eq_const(x(), ri(1)),
         ]);
         let all: BTreeSet<Var> = [x(), y(), z()].into_iter().collect();
-        assert_eq!(eliminate(&set, &all), Eliminated::Atoms(BTreeSet::new()));
+        assert_eq!(elim(&set, &all), Eliminated::Atoms(BTreeSet::new()));
     }
 
     #[test]
@@ -444,7 +387,7 @@ mod tests {
             Atom::le(LinExpr::var(y()), LinExpr::var(z())),
         ]);
         let vars: BTreeSet<Var> = [x(), y()].into_iter().collect();
-        let pruned = eliminate(&set, &vars);
+        let pruned = elim(&set, &vars);
         let unpruned = eliminate_unpruned(&set, &vars);
         match (pruned, unpruned) {
             (Eliminated::Atoms(a), Eliminated::Atoms(b)) => {
@@ -476,22 +419,21 @@ mod tests {
         }
         let set = atoms(list);
         let vars: BTreeSet<Var> = [x()].into_iter().collect();
-        let peak = AtomicU64::new(0);
+        let (peak, calls) = (AtomicU64::new(0), AtomicU64::new(0));
         // Generous budget: succeeds and matches the unbudgeted result.
-        let ok = eliminate_budgeted(
-            &set,
-            &vars,
-            FmBudget { max_atoms: Some(1000), peak: Some(&peak), calls: None },
-        );
-        assert_eq!(ok, Ok(eliminate(&set, &vars)));
+        let generous = Budget {
+            max_fm_atoms: Some(1000),
+            fm_peak: Some(&peak),
+            fm_calls: Some(&calls),
+            ..Budget::default()
+        };
+        assert_eq!(eliminate(&set, &vars, &generous), Ok(elim(&set, &vars)));
         assert!(peak.load(Ordering::Relaxed) >= set.len() as u64);
+        assert_eq!(calls.load(Ordering::Relaxed), 1);
         // A budget below the input size trips immediately.
-        let err = eliminate_budgeted(&set, &vars, FmBudget { max_atoms: Some(2), peak: None, calls: None });
-        match err {
-            Err(FmBudgetExceeded { atoms, limit }) => {
-                assert!(atoms > limit);
-                assert_eq!(limit, 2);
-            }
+        let tight = Budget { max_fm_atoms: Some(2), ..Budget::default() };
+        match eliminate(&set, &vars, &tight) {
+            Err(BudgetExceeded { what: "fm atoms", used, limit: 2 }) => assert!(used > 2),
             other => panic!("expected budget trip, got {:?}", other),
         }
     }
@@ -499,7 +441,7 @@ mod tests {
     #[test]
     fn variables_not_mentioned_are_noops() {
         let set = atoms(vec![Atom::ge(LinExpr::var(y()), LinExpr::constant_int(1))]);
-        let got = eliminate(&set, &[x()].into_iter().collect());
+        let got = elim(&set, &[x()].into_iter().collect());
         assert_eq!(got, Eliminated::Atoms(set));
     }
 }

@@ -16,6 +16,8 @@
 //!   via Gaussian substitution of equalities followed by Fourier–Motzkin;
 //! * [`Dnf`] — a constraint relation body: closure under union,
 //!   intersection, negation (for the difference operator) and projection;
+//! * [`Budget`] — optional ceilings and counters for elimination and DNF
+//!   expansion, taken by every algorithm that can blow up;
 //! * [`Interval`] / bounding boxes — the bridge to multidimensional
 //!   indexing (§5 of the paper);
 //! * [`denseorder`] — a second constraint class (dense order with
@@ -28,6 +30,7 @@
 
 mod assignment;
 mod atom;
+mod budget;
 mod conj;
 pub mod denseorder;
 mod dnf;
@@ -39,9 +42,9 @@ mod var;
 
 pub use assignment::Assignment;
 pub use atom::{Atom, Rel};
+pub use budget::{Budget, BudgetExceeded};
 pub use conj::Conjunction;
-pub use dnf::{Dnf, DnfBudgetExceeded};
-pub use fourier_motzkin::{FmBudget, FmBudgetExceeded};
+pub use dnf::Dnf;
 pub use interval::{Bound, Interval};
 pub use linexpr::LinExpr;
 pub use quickbox::QuickBox;

@@ -6,7 +6,7 @@
 //! conjunctions/formulas and random rational points, and comparing the
 //! results of syntactic manipulation against pointwise evaluation.
 
-use cqa_constraints::{Assignment, Atom, Conjunction, Dnf, LinExpr, Var};
+use cqa_constraints::{Assignment, Atom, Budget, Conjunction, Dnf, LinExpr, Var};
 use cqa_num::Rat;
 use proptest::prelude::*;
 
@@ -168,7 +168,7 @@ proptest! {
     #[test]
     fn dnf_negation_complements(cs in prop::collection::vec(arb_conj(2), 0..3), p in arb_point()) {
         let d = Dnf::from_conjunctions(cs);
-        let n = d.negate();
+        let n = d.negate(&Budget::default()).unwrap();
         let dv = d.eval(&p).unwrap_or(false);
         let nv = n.eval(&p).unwrap_or(false);
         prop_assert_eq!(dv, !nv, "d = {}, ¬d = {}", d, n);
@@ -183,7 +183,7 @@ proptest! {
     ) {
         let da = Dnf::from_conjunctions(a);
         let db = Dnf::from_conjunctions(b);
-        let diff = da.minus(&db);
+        let diff = da.minus(&db, &Budget::default()).unwrap();
         let want = da.eval(&p).unwrap_or(false) && !db.eval(&p).unwrap_or(false);
         prop_assert_eq!(diff.eval(&p).unwrap_or(false), want);
     }

@@ -111,15 +111,9 @@ impl From<cqa_num::par::Cancelled> for CoreError {
     }
 }
 
-impl From<cqa_constraints::FmBudgetExceeded> for CoreError {
-    fn from(e: cqa_constraints::FmBudgetExceeded) -> CoreError {
-        CoreError::BudgetExceeded { what: "fm atoms", used: e.atoms, limit: e.limit }
-    }
-}
-
-impl From<cqa_constraints::DnfBudgetExceeded> for CoreError {
-    fn from(e: cqa_constraints::DnfBudgetExceeded) -> CoreError {
-        CoreError::BudgetExceeded { what: "dnf conjunctions", used: e.conjunctions, limit: e.limit }
+impl From<cqa_constraints::BudgetExceeded> for CoreError {
+    fn from(e: cqa_constraints::BudgetExceeded) -> CoreError {
+        CoreError::BudgetExceeded { what: e.what, used: e.used, limit: e.limit }
     }
 }
 

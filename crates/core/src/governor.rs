@@ -22,6 +22,7 @@
 //! single exact satisfiability test.
 
 use crate::error::{CoreError, Result};
+use crate::par::{ExecCounter, ExecStats};
 use cqa_num::par::CancelToken;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -210,17 +211,16 @@ impl Governor {
         Ok(())
     }
 
-    /// The Fourier–Motzkin budget view of this governor, recording the
-    /// peak intermediate atom count and the elimination-call count into
-    /// `stats`.
-    pub fn fm_budget<'a>(
-        &self,
-        stats: &'a crate::par::ExecStats,
-    ) -> cqa_constraints::FmBudget<'a> {
-        cqa_constraints::FmBudget {
-            max_atoms: self.budgets.max_fm_atoms,
-            peak: Some(stats.cell(crate::par::ExecCounter::FmPeakAtoms)),
-            calls: Some(stats.cell(crate::par::ExecCounter::FmCalls)),
+    /// The constraint-algorithm budget of this governor: its FM-atom and
+    /// DNF-conjunction ceilings, counting the peak FM system, the FM calls
+    /// and the built DNF conjunctions into `stats`.
+    pub fn budget<'a>(&self, stats: &'a ExecStats) -> cqa_constraints::Budget<'a> {
+        cqa_constraints::Budget {
+            max_fm_atoms: self.budgets.max_fm_atoms,
+            max_dnf_conjunctions: self.budgets.max_dnf_conjunctions,
+            fm_peak: Some(stats.cell(ExecCounter::FmPeakAtoms)),
+            fm_calls: Some(stats.cell(ExecCounter::FmCalls)),
+            dnf_built: Some(stats.cell(ExecCounter::DnfConjunctions)),
         }
     }
 }

@@ -25,6 +25,7 @@
 
 use crate::error::{CoreError, Result};
 use crate::ops::select::{CmpOp, Predicate, Selection};
+use crate::par::{ExecOptions, ExecStats};
 use crate::relation::HRelation;
 use crate::schema::{AttrKind, Schema};
 use crate::tuple::Tuple;
@@ -72,7 +73,9 @@ impl IndefiniteRelation {
     /// model's select (satisfiability of the conjunction), with the
     /// residual narrowing the candidates that remain possible.
     pub fn possible_select(&self, selection: &Selection) -> Result<IndefiniteRelation> {
-        Ok(IndefiniteRelation::new(crate::ops::select(&self.inner, selection)?))
+        let selected =
+            crate::ops::select(&self.inner, selection, &ExecOptions::default(), &ExecStats::new())?;
+        Ok(IndefiniteRelation::new(selected))
     }
 
     /// The **certain** answer to `ς_ξ`: tuples every candidate world of

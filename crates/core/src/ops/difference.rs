@@ -17,12 +17,7 @@ use crate::relation::HRelation;
 use crate::tuple::Tuple;
 use cqa_constraints::{Dnf, QuickBox};
 
-/// Applies the difference `left − right` with default [`ExecOptions`].
-pub fn difference(left: &HRelation, right: &HRelation) -> Result<HRelation> {
-    difference_opts(left, right, &ExecOptions::default(), &ExecStats::new())
-}
-
-/// Applies the difference with explicit execution options.
+/// Applies the difference `left − right`.
 ///
 /// Left tuples are independent — each is reduced against its own matching
 /// subtrahends — so the outer loop runs on the deterministic chunked
@@ -36,7 +31,7 @@ pub fn difference(left: &HRelation, right: &HRelation) -> Result<HRelation> {
 /// part of this operator). Unlike `select`/`join`, pruning can change the
 /// *syntactic* shape of the result (fewer redundant splits), so
 /// determinism comparisons should hold the filter setting fixed.
-pub fn difference_opts(
+pub fn difference(
     left: &HRelation,
     right: &HRelation,
     opts: &ExecOptions,
@@ -53,6 +48,7 @@ pub fn difference_opts(
         .collect();
 
     let governor = &opts.governor;
+    let budget = governor.budget(stats);
     let produced: Vec<Result<Tuple>> =
         try_flat_map_chunks(left.tuples(), opts.effective_threads(), Some(governor.token()), |lt| {
             if let Err(e) = governor.check() {
@@ -82,13 +78,9 @@ pub fn difference_opts(
             let subtrahend =
                 Dnf::from_conjunctions(kept.iter().map(|rt| rt.constraint().clone()));
             // The negation expansion is the algebra's exponential corner:
-            // the governor's DNF budget bounds it with a typed error, and
+            // the governor's budget bounds it with a typed error, and
             // every conjunction it constructs is counted into `stats`.
-            let remainder = match minuend.minus_counted(
-                &subtrahend,
-                governor.budgets.max_dnf_conjunctions,
-                Some(stats.cell(ExecCounter::DnfConjunctions)),
-            ) {
+            let remainder = match minuend.minus(&subtrahend, &budget) {
                 Ok(r) => r.normalize(),
                 Err(e) => return vec![Err(e.into())],
             };
@@ -114,6 +106,11 @@ mod tests {
     use crate::schema::{AttrDef, Schema};
     use crate::value::Value;
 
+    /// [`difference`] with default options and throwaway counters.
+    fn run(left: &HRelation, right: &HRelation) -> Result<HRelation> {
+        difference(left, right, &ExecOptions::default(), &ExecStats::new())
+    }
+
     fn n(i: i64) -> Value {
         Value::int(i)
     }
@@ -131,7 +128,7 @@ mod tests {
     fn difference_carves_holes() {
         let a = interval_rel(&[("p", 0, 10)]);
         let b = interval_rel(&[("p", 3, 5)]);
-        let out = difference(&a, &b).unwrap();
+        let out = run(&a, &b).unwrap();
         assert!(out.contains_point(&[Value::str("p"), n(1)]).unwrap());
         assert!(!out.contains_point(&[Value::str("p"), n(4)]).unwrap());
         assert!(out.contains_point(&[Value::str("p"), n(9)]).unwrap());
@@ -145,7 +142,7 @@ mod tests {
         // Subtracting q's interval must not affect p's.
         let a = interval_rel(&[("p", 0, 10), ("q", 0, 10)]);
         let b = interval_rel(&[("q", 0, 10)]);
-        let out = difference(&a, &b).unwrap();
+        let out = run(&a, &b).unwrap();
         assert!(out.contains_point(&[Value::str("p"), n(5)]).unwrap());
         assert!(!out.contains_point(&[Value::str("q"), n(5)]).unwrap());
     }
@@ -153,7 +150,7 @@ mod tests {
     #[test]
     fn subtracting_everything_empties() {
         let a = interval_rel(&[("p", 0, 10)]);
-        let out = difference(&a, &a).unwrap();
+        let out = run(&a, &a).unwrap();
         assert!(out.is_empty() || out.tuples().iter().all(|t| !t.is_satisfiable()));
         // And its semantics is empty regardless of syntax:
         assert!(!out.contains_point(&[Value::str("p"), n(5)]).unwrap());
@@ -163,7 +160,7 @@ mod tests {
     fn multiple_subtrahends_union() {
         let a = interval_rel(&[("p", 0, 10)]);
         let b = interval_rel(&[("p", 0, 4), ("p", 6, 10)]);
-        let out = difference(&a, &b).unwrap();
+        let out = run(&a, &b).unwrap();
         assert!(out.contains_point(&[Value::str("p"), n(5)]).unwrap());
         assert!(!out.contains_point(&[Value::str("p"), n(2)]).unwrap());
         assert!(!out.contains_point(&[Value::str("p"), n(8)]).unwrap());
@@ -179,7 +176,7 @@ mod tests {
             }
             r
         };
-        let out = difference(&mk(&[1, 2, 3]), &mk(&[2])).unwrap();
+        let out = run(&mk(&[1, 2, 3]), &mk(&[2])).unwrap();
         assert_eq!(out.len(), 2);
         assert!(out.contains_point(&[n(1)]).unwrap());
         assert!(!out.contains_point(&[n(2)]).unwrap());
@@ -190,6 +187,6 @@ mod tests {
         let a = interval_rel(&[]);
         let s2 = Schema::new(vec![AttrDef::str_rel("id"), AttrDef::rat_rel("x")]).unwrap();
         let b = HRelation::new(s2);
-        assert!(difference(&a, &b).is_err());
+        assert!(run(&a, &b).is_err());
     }
 }

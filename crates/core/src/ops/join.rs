@@ -23,12 +23,7 @@ fn shared_key(t: &Tuple, positions: impl Iterator<Item = usize>) -> Option<Vec<&
     positions.map(|i| t.value(i)).collect()
 }
 
-/// Applies the natural join with default [`ExecOptions`].
-pub fn join(left: &HRelation, right: &HRelation) -> Result<HRelation> {
-    join_opts(left, right, &ExecOptions::default(), &ExecStats::new())
-}
-
-/// Applies the natural join with explicit execution options.
+/// Applies the natural join.
 ///
 /// The right side is prepared **once**: each right tuple's constraint is
 /// remapped into output variable positions and its conservative bounding
@@ -40,7 +35,7 @@ pub fn join(left: &HRelation, right: &HRelation) -> Result<HRelation> {
 /// the conjoin-and-decide step. Such pairs are exactly unsatisfiable
 /// combinations, which the exact path would drop anyway, so the output is
 /// bit-identical with the filter off.
-pub fn join_opts(
+pub fn join(
     left: &HRelation,
     right: &HRelation,
     opts: &ExecOptions,
@@ -103,6 +98,7 @@ pub fn join_opts(
     let all_rights: Vec<usize> = (0..rights.len()).collect();
 
     let governor = &opts.governor;
+    let budget = governor.budget(stats);
     let produced: Vec<Result<Tuple>> =
         try_flat_map_chunks(left.tuples(), opts.effective_threads(), Some(governor.token()), |lt| {
             if let Err(e) = governor.check() {
@@ -138,7 +134,7 @@ pub fn join_opts(
                 // (pre-remapped) right part is conjoined. Shared constraint
                 // attributes thereby intersect.
                 let conj = lt.constraint().and(rconj);
-                match conj.is_satisfiable_budgeted(governor.fm_budget(stats)) {
+                match conj.is_satisfiable_budgeted(&budget) {
                     Ok(false) => continue,
                     Ok(true) => {}
                     Err(e) => {
@@ -173,6 +169,11 @@ mod tests {
     use crate::schema::{AttrDef, Schema};
     use crate::value::Value;
 
+    /// [`join`] with default options and throwaway counters.
+    fn run(left: &HRelation, right: &HRelation) -> Result<HRelation> {
+        join(left, right, &ExecOptions::default(), &ExecStats::new())
+    }
+
     fn v(s: &str) -> Value {
         Value::str(s)
     }
@@ -199,7 +200,7 @@ mod tests {
             r.insert_with(|b| b.set("name", "noid")).unwrap(); // null landId
             r
         };
-        let out = join(&owner, &land).unwrap();
+        let out = run(&owner, &land).unwrap();
         assert_eq!(out.len(), 1, "only dina↦A matches; null never joins");
         let names: Vec<&str> =
             out.schema().attrs().iter().map(|a| a.name.as_str()).collect();
@@ -218,13 +219,13 @@ mod tests {
             r.insert_with(|b| b.range("x", lo, hi)).unwrap();
             r
         };
-        let out = join(&make(0, 10), &make(5, 20)).unwrap();
+        let out = run(&make(0, 10), &make(5, 20)).unwrap();
         assert_eq!(out.len(), 1);
         assert!(out.contains_point(&[n(7)]).unwrap());
         assert!(!out.contains_point(&[n(3)]).unwrap());
         assert!(!out.contains_point(&[n(15)]).unwrap());
         // Disjoint intervals produce nothing.
-        let empty = join(&make(0, 1), &make(5, 6)).unwrap();
+        let empty = run(&make(0, 1), &make(5, 6)).unwrap();
         assert!(empty.is_empty());
     }
 
@@ -243,7 +244,7 @@ mod tests {
             r.insert_with(|bu| bu.range("y", 5, 6)).unwrap();
             r
         };
-        let out = join(&a, &b).unwrap();
+        let out = run(&a, &b).unwrap();
         assert_eq!(out.len(), 2, "cross product");
         assert!(out.contains_point(&[n(0), n(5)]).unwrap());
         assert!(out.contains_point(&[n(3), n(6)]).unwrap());
@@ -283,7 +284,7 @@ mod tests {
             .unwrap();
             r
         };
-        let out = join(&land, &hurricane).unwrap();
+        let out = run(&land, &hurricane).unwrap();
         assert_eq!(out.len(), 1);
         // Schema: landId, x, y, t.
         assert!(out.contains_point(&[v("A"), n(1), n(1), n(1)]).unwrap());

@@ -15,9 +15,9 @@ mod rename;
 pub(crate) mod select;
 mod union;
 
-pub use difference::{difference, difference_opts};
-pub use join::{join, join_opts};
-pub use project::{project, project_opts};
+pub use difference::difference;
+pub use join::join;
+pub use project::project;
 pub use rename::rename;
-pub use select::{select, select_opts, CmpOp, Predicate, Selection};
+pub use select::{select, CmpOp, Predicate, Selection};
 pub use union::union;

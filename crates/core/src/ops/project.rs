@@ -14,19 +14,14 @@ use crate::tuple::Tuple;
 use cqa_constraints::Var;
 
 /// Applies `π_X` with `X` given as attribute names (output order follows
-/// `names`), with default [`ExecOptions`].
-pub fn project(rel: &HRelation, names: &[String]) -> Result<HRelation> {
-    project_opts(rel, names, &ExecOptions::default(), &ExecStats::new())
-}
-
-/// Applies `π_X` with explicit execution options.
+/// `names`).
 ///
 /// Quantifier elimination is the operator's hot spot and its memory
 /// hazard: Fourier–Motzkin can square the atom count per eliminated
 /// variable. The loop consults the governor per tuple (cancellation,
 /// deadline) and runs each elimination under the governor's FM budget,
 /// recording the peak intermediate size into `stats`.
-pub fn project_opts(
+pub fn project(
     rel: &HRelation,
     names: &[String],
     opts: &ExecOptions,
@@ -59,6 +54,7 @@ pub fn project_opts(
         .collect();
 
     let governor = &opts.governor;
+    let budget = governor.budget(stats);
     let mut out = HRelation::new(out_schema);
     for tuple in rel.tuples() {
         governor.check()?;
@@ -67,9 +63,7 @@ pub fn project_opts(
         // a span site, so the recorded sequence is thread-count-invariant.
         let span_start = cqa_obs::spans_enabled().then(std::time::Instant::now);
         let atoms_in = tuple.constraint().len() as u64;
-        let conj = tuple
-            .constraint()
-            .eliminate_budgeted(eliminate.iter().copied(), governor.fm_budget(stats))?;
+        let conj = tuple.constraint().eliminate_budgeted(eliminate.iter().copied(), &budget)?;
         if let Some(t0) = span_start {
             cqa_obs::record_span(
                 "fm.eliminate",
@@ -99,6 +93,11 @@ mod tests {
     use crate::schema::{AttrDef, Schema};
     use crate::value::Value;
     use cqa_num::Rat;
+
+    /// [`project`] with default options and throwaway counters.
+    fn run(rel: &HRelation, names: &[String]) -> Result<HRelation> {
+        project(rel, names, &ExecOptions::default(), &ExecStats::new())
+    }
 
     fn land() -> HRelation {
         let schema = Schema::new(vec![
@@ -130,7 +129,7 @@ mod tests {
     #[test]
     fn project_restricts_relational_and_eliminates_constraint() {
         let r = land();
-        let out = project(&r, &["landId".into(), "x".into()]).unwrap();
+        let out = run(&r, &["landId".into(), "x".into()]).unwrap();
         assert_eq!(out.schema().arity(), 2);
         // A's x-shadow is [0,2]; B's x-shadow is [0,2] too (triangle).
         assert!(out.contains_point(&[Value::str("A"), Value::int(1)]).unwrap());
@@ -143,7 +142,7 @@ mod tests {
     #[test]
     fn projection_reorders() {
         let r = land();
-        let out = project(&r, &["y".into(), "landId".into()]).unwrap();
+        let out = run(&r, &["y".into(), "landId".into()]).unwrap();
         assert_eq!(out.schema().attrs()[0].name, "y");
         // Variable positions remapped: y is now Var(0).
         assert!(out.contains_point(&[Value::int(4), Value::str("A")]).unwrap());
@@ -157,7 +156,7 @@ mod tests {
         let mut r = HRelation::new(schema);
         r.insert_with(|b| b.set("id", "same").range("x", 0, 1)).unwrap();
         r.insert_with(|b| b.set("id", "same").range("x", 5, 9)).unwrap();
-        let out = project(&r, &["id".into()]).unwrap();
+        let out = run(&r, &["id".into()]).unwrap();
         assert_eq!(out.len(), 1);
     }
 
@@ -167,8 +166,9 @@ mod tests {
         // y ≥ 1 must give x ≤ 1, not x ≤ 2: projection interacts with the
         // other attribute's constraints.
         let r = land();
-        let narrowed = select(&r, &Selection::all().cmp_int("y", CmpOp::Ge, 1)).unwrap();
-        let out = project(&narrowed, &["landId".into(), "x".into()]).unwrap();
+        let sel = Selection::all().cmp_int("y", CmpOp::Ge, 1);
+        let narrowed = select(&r, &sel, &ExecOptions::default(), &ExecStats::new()).unwrap();
+        let out = run(&narrowed, &["landId".into(), "x".into()]).unwrap();
         assert!(out.contains_point(&[Value::str("B"), Value::int(1)]).unwrap());
         assert!(!out
             .contains_point(&[Value::str("B"), Value::rat(Rat::from_pair(3, 2))])
@@ -178,7 +178,7 @@ mod tests {
     #[test]
     fn empty_projection_list_keeps_tuple_presence() {
         let r = land();
-        let out = project(&r, &[]).unwrap();
+        let out = run(&r, &[]).unwrap();
         assert_eq!(out.schema().arity(), 0);
         assert_eq!(out.len(), 1, "all tuples collapse to the empty tuple");
     }

@@ -16,6 +16,7 @@ pub fn rename(rel: &HRelation, from: &str, to: &str) -> Result<HRelation> {
 mod tests {
     use super::*;
     use crate::ops::join::join;
+    use crate::par::{ExecOptions, ExecStats};
     use crate::schema::{AttrDef, Schema};
     use crate::value::Value;
 
@@ -40,7 +41,7 @@ mod tests {
         r.insert_with(|b| b.range("x", 0, 1)).unwrap();
         r.insert_with(|b| b.range("x", 5, 6)).unwrap();
         let renamed = rename(&r, "x", "y").unwrap();
-        let out = join(&r, &renamed).unwrap();
+        let out = join(&r, &renamed, &ExecOptions::default(), &ExecStats::new()).unwrap();
         assert_eq!(out.len(), 4);
         assert!(out.contains_point(&[Value::int(0), Value::int(6)]).unwrap());
     }

@@ -211,12 +211,7 @@ pub fn validate(schema: &Schema, selection: &Selection) -> Result<()> {
     Ok(())
 }
 
-/// Applies `ς_ξ` to a relation with default [`ExecOptions`].
-pub fn select(rel: &HRelation, selection: &Selection) -> Result<HRelation> {
-    select_opts(rel, selection, &ExecOptions::default(), &ExecStats::new())
-}
-
-/// Applies `ς_ξ` with explicit execution options.
+/// Applies `ς_ξ` to a relation.
 ///
 /// Tuples are independent, so the outer loop runs on the deterministic
 /// chunked executor; output order matches the serial evaluation exactly.
@@ -225,7 +220,7 @@ pub fn select(rel: &HRelation, selection: &Selection) -> Result<HRelation> {
 /// exact satisfiability check — the box is an outward approximation, so
 /// this skips only tuples the exact check would reject too (bit-identical
 /// output either way).
-pub fn select_opts(
+pub fn select(
     rel: &HRelation,
     selection: &Selection,
     opts: &ExecOptions,
@@ -235,6 +230,7 @@ pub fn select_opts(
     let schema = rel.schema();
     let arity = schema.arity();
     let governor = &opts.governor;
+    let budget = governor.budget(stats);
     let produced: Vec<Result<Option<Tuple>>> =
         try_map_chunks(rel.tuples(), opts.effective_threads(), Some(governor.token()), |tuple| {
             governor.check()?;
@@ -257,7 +253,7 @@ pub fn select_opts(
                     return Ok(None);
                 }
             }
-            if residual.is_satisfiable_budgeted(governor.fm_budget(stats))? {
+            if residual.is_satisfiable_budgeted(&budget)? {
                 Ok(Some(Tuple::from_parts(tuple.values().to_vec(), residual)))
             } else {
                 Ok(None)
@@ -361,6 +357,11 @@ mod tests {
     use super::*;
     use crate::schema::AttrDef;
 
+    /// [`select`] with default options and throwaway counters.
+    fn run(rel: &HRelation, selection: &Selection) -> Result<HRelation> {
+        select(rel, selection, &ExecOptions::default(), &ExecStats::new())
+    }
+
     /// The paper's Example 3 relation:
     /// R = {(x = 1), (y = 1), (x = 17, y = 17)} with
     /// schema [x: relational, y: constraint].
@@ -379,7 +380,7 @@ mod tests {
         // ς_{x=17} R returns only {(x = 17, y = 17)}: the tuple (y = 1) has
         // a *null* x, which never matches (narrow).
         let r = example3();
-        let out = select(&r, &Selection::all().cmp_int("x", CmpOp::Eq, 17)).unwrap();
+        let out = run(&r, &Selection::all().cmp_int("x", CmpOp::Eq, 17)).unwrap();
         assert_eq!(out.len(), 1);
         assert_eq!(out.tuples()[0].value(0), Some(&Value::int(17)));
     }
@@ -389,7 +390,7 @@ mod tests {
         // ς_{y=17} R returns {(x = 1, y = 17), (x = 17, y = 17)}: the first
         // tuple's unmentioned y is broad, so conjoining y=17 keeps it.
         let r = example3();
-        let out = select(&r, &Selection::all().cmp_int("y", CmpOp::Eq, 17)).unwrap();
+        let out = run(&r, &Selection::all().cmp_int("y", CmpOp::Eq, 17)).unwrap();
         assert_eq!(out.len(), 2);
         let xs: Vec<Option<&Value>> = out.tuples().iter().map(|t| t.value(0)).collect();
         assert!(xs.contains(&Some(&Value::int(1))));
@@ -406,7 +407,7 @@ mod tests {
         let mut constraint_rel = HRelation::new(cschema);
         constraint_rel.insert_with(|b| b.pin("x", Rat::from_int(1))).unwrap();
         let out =
-            select(&constraint_rel, &Selection::all().cmp_int("y", CmpOp::Eq, 17)).unwrap();
+            run(&constraint_rel, &Selection::all().cmp_int("y", CmpOp::Eq, 17)).unwrap();
         assert_eq!(out.len(), 1, "broad semantics: y = 17 admitted");
         assert!(out
             .contains_point(&[Value::int(1), Value::int(17)])
@@ -416,7 +417,7 @@ mod tests {
             Schema::new(vec![AttrDef::rat_con("x"), AttrDef::rat_rel("y")]).unwrap();
         let mut rel_rel = HRelation::new(rschema);
         rel_rel.insert_with(|b| b.pin("x", Rat::from_int(1))).unwrap();
-        let out = select(&rel_rel, &Selection::all().cmp_int("y", CmpOp::Eq, 17)).unwrap();
+        let out = run(&rel_rel, &Selection::all().cmp_int("y", CmpOp::Eq, 17)).unwrap();
         assert!(out.is_empty(), "narrow semantics: missing y never matches");
     }
 
@@ -426,7 +427,7 @@ mod tests {
         let mut r = HRelation::new(schema);
         r.insert_with(|b| b.range("t", 0, 10)).unwrap();
         r.insert_with(|b| b.range("t", 20, 30)).unwrap();
-        let out = select(
+        let out = run(
             &r,
             &Selection::all()
                 .cmp_int("t", CmpOp::Ge, 4)
@@ -445,9 +446,9 @@ mod tests {
         r.insert_with(|b| b.set("name", "ann")).unwrap();
         r.insert_with(|b| b.set("name", "bob")).unwrap();
         r.insert_with(|b| b).unwrap(); // null name
-        let eq = select(&r, &Selection::all().str_eq("name", "ann")).unwrap();
+        let eq = run(&r, &Selection::all().str_eq("name", "ann")).unwrap();
         assert_eq!(eq.len(), 1);
-        let ne = select(&r, &Selection::all().str_ne("name", "ann")).unwrap();
+        let ne = run(&r, &Selection::all().str_ne("name", "ann")).unwrap();
         assert_eq!(ne.len(), 1, "null fails <> too (narrow)");
     }
 
@@ -456,7 +457,7 @@ mod tests {
         let schema = Schema::new(vec![AttrDef::rat_con("x"), AttrDef::rat_con("y")]).unwrap();
         let mut r = HRelation::new(schema);
         r.insert_with(|b| b.range("x", 0, 10).range("y", 5, 6)).unwrap();
-        let out = select(&r, &Selection::all().cmp_attrs("x", CmpOp::Ge, "y")).unwrap();
+        let out = run(&r, &Selection::all().cmp_attrs("x", CmpOp::Ge, "y")).unwrap();
         assert_eq!(out.len(), 1);
         assert!(out.contains_point(&[Value::int(6), Value::int(5)]).unwrap());
         assert!(!out.contains_point(&[Value::int(4), Value::int(5)]).unwrap());
@@ -466,10 +467,10 @@ mod tests {
     fn bad_predicates_rejected() {
         let schema = Schema::new(vec![AttrDef::str_rel("s"), AttrDef::rat_con("x")]).unwrap();
         let r = HRelation::new(schema);
-        assert!(select(&r, &Selection::all().cmp_int("s", CmpOp::Le, 3)).is_err());
-        assert!(select(&r, &Selection::all().str_eq("x", "v")).is_err());
-        assert!(select(&r, &Selection::all().cmp_int("missing", CmpOp::Eq, 1)).is_err());
-        assert!(select(&r, &Selection::all().cmp_int("x", CmpOp::Ne, 1)).is_err());
+        assert!(run(&r, &Selection::all().cmp_int("s", CmpOp::Le, 3)).is_err());
+        assert!(run(&r, &Selection::all().str_eq("x", "v")).is_err());
+        assert!(run(&r, &Selection::all().cmp_int("missing", CmpOp::Eq, 1)).is_err());
+        assert!(run(&r, &Selection::all().cmp_int("x", CmpOp::Ne, 1)).is_err());
     }
 
     #[test]
@@ -478,7 +479,7 @@ mod tests {
         let mut r = HRelation::new(schema);
         r.insert_with(|b| b.set("age", 40)).unwrap();
         r.insert_with(|b| b.set("age", 41)).unwrap();
-        let out = select(&r, &Selection::all().cmp_int("age", CmpOp::Ne, 40)).unwrap();
+        let out = run(&r, &Selection::all().cmp_int("age", CmpOp::Ne, 40)).unwrap();
         assert_eq!(out.len(), 1);
         assert_eq!(out.tuples()[0].value(0), Some(&Value::int(41)));
     }

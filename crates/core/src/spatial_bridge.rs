@@ -92,17 +92,19 @@ mod tests {
     #[test]
     fn converted_relation_queries_like_any_other() {
         use crate::ops;
+        use crate::par::{ExecOptions, ExecStats};
         use crate::plan::{CmpOp, Selection};
         let rel = SpatialRelation::from_features([
             Feature::new("a", Geometry::Point(p(1, 1))),
             Feature::new("b", Geometry::Point(p(5, 5))),
         ]);
         let h = spatial_to_hrelation(&rel).unwrap();
-        let out =
-            ops::select(&h, &Selection::all().cmp("x", CmpOp::Le, Rat::from_int(3))).unwrap();
+        let (opts, stats) = (ExecOptions::default(), ExecStats::new());
+        let sel = Selection::all().cmp("x", CmpOp::Le, Rat::from_int(3));
+        let out = ops::select(&h, &sel, &opts, &stats).unwrap();
         assert_eq!(out.len(), 1);
         assert_eq!(out.tuples()[0].value(0), Some(&Value::str("a")));
-        let ids = ops::project(&h, &["id".into()]).unwrap();
+        let ids = ops::project(&h, &["id".into()], &opts, &stats).unwrap();
         assert_eq!(ids.len(), 2);
     }
 }

@@ -92,10 +92,7 @@ mod tests {
         assert!(e.to_string().contains("registered as a gauge"));
         let e = ObsError::from(JsonError { offset: 7, msg: "expected ','".into() });
         assert_eq!(e.to_string(), "json: expected ',' at byte 7");
-        let io = ObsError::io(
-            "flight dump",
-            std::io::Error::new(std::io::ErrorKind::Other, "disk full"),
-        );
+        let io = ObsError::io("flight dump", std::io::Error::other("disk full"));
         assert!(io.to_string().starts_with("flight dump: "));
     }
 }

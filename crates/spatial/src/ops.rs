@@ -28,23 +28,17 @@ pub fn min_dist2(a: &Geometry, b: &Geometry) -> Rat {
     a.dist2(b)
 }
 
-/// `Buffer-Join(R₁, R₂, d)`: all pairs of features within distance `d`.
+/// `Buffer-Join(R₁, R₂, d)`: all pairs of features within distance `d`,
+/// with the outer feature loop spread over `threads` workers (`0` = all
+/// hardware threads).
 ///
 /// Returns `(id₁, id₂)` pairs ordered by the relations' insertion order,
-/// plus the index accesses spent on the filter step. Serial convenience
-/// wrapper over [`buffer_join_par`].
-pub fn buffer_join(r1: &SpatialRelation, r2: &SpatialRelation, d: &Rat) -> (IdPairs, u64) {
-    buffer_join_par(r1, r2, d, 1)
-}
-
-/// [`buffer_join`] with the outer feature loop spread over `threads`
-/// workers (`0` = all hardware threads).
-///
-/// Each outer feature's probe-and-refine step is independent; the chunked
-/// executor keeps outputs in outer insertion order, so the pair list is
-/// identical for every thread count. Access counts are summed, which is
+/// plus the index accesses spent on the filter step. Each outer feature's
+/// probe-and-refine step is independent; the chunked executor keeps
+/// outputs in outer insertion order, so the pair list is identical for
+/// every thread count. Access counts are summed, which is
 /// order-independent, so the reported total matches the serial run too.
-pub fn buffer_join_par(
+pub fn buffer_join(
     r1: &SpatialRelation,
     r2: &SpatialRelation,
     d: &Rat,
@@ -80,23 +74,12 @@ pub fn buffer_join_par(
 }
 
 /// `k-Nearest(R₁, R₂, k)`: for each feature of `R₁`, its `k` nearest
-/// features of `R₂` (exact squared-distance order; ties broken by id).
+/// features of `R₂` (exact squared-distance order; ties broken by id),
+/// with the outer feature loop spread over `threads` workers (`0` = all
+/// hardware threads). Pair order is identical for every thread count.
 ///
 /// When `R₂` has fewer than `k` features, all of them are returned.
-/// Serial convenience wrapper over [`k_nearest_par`].
-pub fn k_nearest(r1: &SpatialRelation, r2: &SpatialRelation, k: usize) -> IdPairs {
-    k_nearest_par(r1, r2, k, 1)
-}
-
-/// [`k_nearest`] with the outer feature loop spread over `threads`
-/// workers (`0` = all hardware threads). Pair order is identical for
-/// every thread count.
-pub fn k_nearest_par(
-    r1: &SpatialRelation,
-    r2: &SpatialRelation,
-    k: usize,
-    threads: usize,
-) -> IdPairs {
+pub fn k_nearest(r1: &SpatialRelation, r2: &SpatialRelation, k: usize, threads: usize) -> IdPairs {
     let threads = cqa_num::par::effective_threads(threads);
     let per_feature: Vec<IdPairs> = map_chunks(r1.features(), threads, |f1| {
         let mut dists: Vec<(Rat, &str)> = r2
@@ -108,64 +91,6 @@ pub fn k_nearest_par(
         dists.into_iter().take(k).map(|(_, id2)| (f1.id.clone(), id2.to_string())).collect()
     });
     per_feature.into_iter().flatten().collect()
-}
-
-/// Index-accelerated `k-Nearest`: expands a search radius geometrically
-/// through the R\*-tree filter until at least `k` candidates are *provably*
-/// within it, then refines exactly. Returns the same pairs as
-/// [`k_nearest`] (which the tests assert).
-pub fn k_nearest_indexed(r1: &SpatialRelation, r2: &SpatialRelation, k: usize) -> IdPairs {
-    if r2.is_empty() || k == 0 {
-        return Vec::new();
-    }
-    let mut out = Vec::new();
-    for f1 in r1.features() {
-        let (lo, hi) = f1.geom.bbox_f64();
-        // Initial radius: a guess from the world size and density.
-        let world = r2
-            .features()
-            .iter()
-            .fold((f64::INFINITY, f64::NEG_INFINITY), |acc, f| {
-                let (l, h) = f.geom.bbox_f64();
-                (acc.0.min(l[0]), acc.1.max(h[0]))
-            });
-        let mut radius = ((world.1 - world.0).abs() / (r2.len() as f64).sqrt()).max(1.0);
-        let candidates = loop {
-            let probe = Rect::new(
-                [lo[0] - radius, lo[1] - radius],
-                [hi[0] + radius, hi[1] + radius],
-            );
-            let (cands, _) = r2.candidates(&probe);
-            // Box distance lower-bounds true distance, so once k candidates
-            // have *exact* distance ≤ radius, nothing outside the probe can
-            // beat them.
-            if cands.len() >= k.min(r2.len()) {
-                let radius2 = Rat::from_decimal_str(&format!("{:.6}", radius))
-                    .unwrap_or_else(|_| Rat::from_int(radius as i64 + 1));
-                let r2rat = &radius2 * &radius2;
-                let close_enough = cands
-                    .iter()
-                    .filter(|&&i| f1.geom.dist2(&r2.get(i).geom) <= r2rat)
-                    .count();
-                if close_enough >= k.min(r2.len()) || cands.len() == r2.len() {
-                    break cands;
-                }
-            }
-            radius *= 2.0;
-        };
-        let mut dists: Vec<(Rat, &str)> = candidates
-            .into_iter()
-            .map(|i| {
-                let f2 = r2.get(i);
-                (f1.geom.dist2(&f2.geom), f2.id.as_str())
-            })
-            .collect();
-        dists.sort_by(|a, b| a.0.cmp(&b.0).then_with(|| a.1.cmp(b.1)));
-        for (_, id2) in dists.into_iter().take(k) {
-            out.push((f1.id.clone(), id2.to_string()));
-        }
-    }
-    out
 }
 
 /// A `Within-Distance` selection: features of `r` within distance `d` of a
@@ -214,7 +139,7 @@ mod tests {
 
     #[test]
     fn buffer_join_basic() {
-        let (pairs, _) = buffer_join(&roads(), &cities(), &Rat::from_int(2));
+        let (pairs, _) = buffer_join(&roads(), &cities(), &Rat::from_int(2), 1);
         // r0 (y=1) is within 2 of c0 (0,0), c1 (5,0); not c2 (0,5) or c3.
         assert!(pairs.contains(&("r0".into(), "c0".into())));
         assert!(pairs.contains(&("r0".into(), "c1".into())));
@@ -226,12 +151,13 @@ mod tests {
     fn buffer_join_boundary_is_inclusive() {
         // Distance exactly d must qualify (≤, not <) — and exactly, not
         // approximately: c2 is at distance exactly 4 from r0.
-        let (pairs, _) = buffer_join(&roads(), &cities(), &Rat::from_int(4));
+        let (pairs, _) = buffer_join(&roads(), &cities(), &Rat::from_int(4), 1);
         assert!(pairs.contains(&("r0".into(), "c2".into())));
         let (pairs, _) = buffer_join(
             &roads(),
             &cities(),
             &(Rat::from_int(4) - Rat::from_pair(1, 1_000_000)),
+            1,
         );
         assert!(!pairs.contains(&("r0".into(), "c2".into())));
     }
@@ -241,7 +167,7 @@ mod tests {
         let r1 = roads();
         let r2 = cities();
         let d = Rat::from_int(3);
-        let (pairs, _) = buffer_join(&r1, &r2, &d);
+        let (pairs, _) = buffer_join(&r1, &r2, &d, 1);
         let mut want = Vec::new();
         for f1 in r1.features() {
             for f2 in r2.features() {
@@ -263,7 +189,7 @@ mod tests {
             Geometry::polygon(vec![p(0, 0), p(4, 0), p(4, 4), p(0, 4)]).unwrap(),
         )]);
         let probes = SpatialRelation::from_features([pt("inside", 2, 2), pt("outside", 9, 9)]);
-        let (pairs, _) = buffer_join(&squares, &probes, &Rat::zero());
+        let (pairs, _) = buffer_join(&squares, &probes, &Rat::zero(), 1);
         assert_eq!(pairs, vec![("s".to_string(), "inside".to_string())]);
     }
 
@@ -276,7 +202,7 @@ mod tests {
             pt("tie_a", 3, 4),  // dist2 = 25
             pt("tie_b", -3, 4), // dist2 = 25 — tie broken by id
         ]);
-        let pairs = k_nearest(&probes, &targets, 3);
+        let pairs = k_nearest(&probes, &targets, 3, 1);
         assert_eq!(
             pairs,
             vec![
@@ -291,30 +217,7 @@ mod tests {
     fn k_nearest_k_larger_than_relation() {
         let probes = SpatialRelation::from_features([pt("q", 0, 0)]);
         let targets = SpatialRelation::from_features([pt("a", 1, 0), pt("b", 2, 0)]);
-        assert_eq!(k_nearest(&probes, &targets, 10).len(), 2);
-    }
-
-    #[test]
-    fn indexed_k_nearest_matches_exact() {
-        // A spread of points with clusters and ties.
-        let mut feats = Vec::new();
-        for i in 0..60i64 {
-            feats.push(pt(&format!("t{:02}", i), (i * 7) % 83, (i * 13) % 59));
-        }
-        let targets = SpatialRelation::from_features(feats);
-        let probes = SpatialRelation::from_features([
-            pt("a", 0, 0),
-            pt("b", 40, 30),
-            pt("c", 83, 59),
-        ]);
-        for k in [1usize, 3, 7, 60, 100] {
-            let exact = k_nearest(&probes, &targets, k);
-            let indexed = k_nearest_indexed(&probes, &targets, k);
-            assert_eq!(exact, indexed, "k = {}", k);
-        }
-        assert!(k_nearest_indexed(&probes, &targets, 0).is_empty());
-        let empty = SpatialRelation::new();
-        assert!(k_nearest_indexed(&probes, &empty, 3).is_empty());
+        assert_eq!(k_nearest(&probes, &targets, 10, 1).len(), 2);
     }
 
     #[test]
@@ -331,7 +234,7 @@ mod tests {
         // whole-feature operator is a plain finite list of id pairs — a
         // traditional relation — regardless of the inputs' infinite
         // semantics.
-        let (pairs, _) = buffer_join(&roads(), &cities(), &Rat::from_int(100));
+        let (pairs, _) = buffer_join(&roads(), &cities(), &Rat::from_int(100), 1);
         assert_eq!(pairs.len(), roads().len() * cities().len());
     }
 }

@@ -7,10 +7,14 @@
 //! Run with: `cargo run -p cqa --example missing_attributes`
 
 use cqa::core::plan::{CmpOp, Selection};
-use cqa::core::{ops, AttrDef, HRelation, Schema, Value};
+use cqa::core::{ops, AttrDef, ExecOptions, ExecStats, HRelation, Schema, Value};
 use cqa::num::Rat;
 
 fn main() {
+    let (opts, stats) = (ExecOptions::default(), ExecStats::new());
+    let x_is_17 = Selection::all().cmp_int("x", CmpOp::Eq, 17);
+    let y_is_17 = Selection::all().cmp_int("y", CmpOp::Eq, 17);
+
     // ----- Example 2: R = {(x = 1)} over attributes {x, y}. -------------
     println!("Example 2: R = {{(x = 1)}} over {{x, y}}, query: select y = 17");
 
@@ -20,7 +24,7 @@ fn main() {
         Schema::new(vec![AttrDef::rat_con("x"), AttrDef::rat_con("y")]).unwrap();
     let mut broad = HRelation::new(broad_schema);
     broad.insert_with(|b| b.pin("x", Rat::from_int(1))).unwrap();
-    let out = ops::select(&broad, &Selection::all().cmp_int("y", CmpOp::Eq, 17)).unwrap();
+    let out = ops::select(&broad, &y_is_17, &opts, &stats).unwrap();
     println!("  y constraint (broad):   {} tuple(s) -> {}", out.len(),
         if out.is_empty() { "empty".to_string() } else { out.tuples()[0].display(out.schema()).to_string() });
     assert_eq!(out.len(), 1);
@@ -34,7 +38,7 @@ fn main() {
         Schema::new(vec![AttrDef::rat_con("x"), AttrDef::rat_rel("y")]).unwrap();
     let mut narrow = HRelation::new(narrow_schema);
     narrow.insert_with(|b| b.pin("x", Rat::from_int(1))).unwrap();
-    let out = ops::select(&narrow, &Selection::all().cmp_int("y", CmpOp::Eq, 17)).unwrap();
+    let out = ops::select(&narrow, &y_is_17, &opts, &stats).unwrap();
     println!("  y relational (narrow): {} tuple(s)", out.len());
     assert!(out.is_empty());
 
@@ -49,11 +53,11 @@ fn main() {
     r.insert_with(|b| b.pin("y", Rat::from_int(1))).unwrap();
     r.insert_with(|b| b.set("x", 17).pin("y", Rat::from_int(17))).unwrap();
 
-    let by_x = ops::select(&r, &Selection::all().cmp_int("x", CmpOp::Eq, 17)).unwrap();
+    let by_x = ops::select(&r, &x_is_17, &opts, &stats).unwrap();
     println!("  select x = 17 -> {} tuple(s)   (paper: {{(x = 17, y = 17)}})", by_x.len());
     assert_eq!(by_x.len(), 1);
 
-    let by_y = ops::select(&r, &Selection::all().cmp_int("y", CmpOp::Eq, 17)).unwrap();
+    let by_y = ops::select(&r, &y_is_17, &opts, &stats).unwrap();
     println!("  select y = 17 -> {} tuple(s)   (paper: {{(x = 1, y = 17), (x = 17, y = 17)}})", by_y.len());
     assert_eq!(by_y.len(), 2);
 

@@ -56,8 +56,8 @@ echo "golden Prometheus exposition matches"
 echo "== flight-recorder smoke: governor abort + panic both dump =="
 cargo run -q --release -p cqa-bench --bin obs_bench -- --flight-smoke 2>/dev/null | grep FLIGHT_SMOKE
 
-echo "== clippy (workspace, -D warnings) =="
-cargo clippy -q --workspace --no-deps -- -D warnings
+echo "== clippy (workspace, all targets, -D warnings) =="
+cargo clippy -q --workspace --all-targets --no-deps -- -D warnings
 echo "clippy clean"
 
 echo "== verify OK =="

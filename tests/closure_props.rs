@@ -7,7 +7,7 @@
 //! strictness bugs live) are hit often.
 
 use cqa::core::plan::{CmpOp, Selection};
-use cqa::core::{ops, AttrDef, HRelation, Schema, Tuple, Value};
+use cqa::core::{ops, AttrDef, ExecOptions, ExecStats, HRelation, Schema, Tuple, Value};
 use cqa::num::Rat;
 use proptest::prelude::*;
 
@@ -97,9 +97,10 @@ proptest! {
 
     #[test]
     fn select_is_pointwise_filter(descs in arb_relation(4), lo in -3i8..4) {
+        let (opts, stats) = (ExecOptions::default(), ExecStats::new());
         let rel = materialize(&descs);
         let sel = Selection::all().cmp_int("x", CmpOp::Ge, lo as i64);
-        let out = ops::select(&rel, &sel).unwrap();
+        let out = ops::select(&rel, &sel, &opts, &stats).unwrap();
         for p in sample_points() {
             let in_rel = rel.contains_point(&p).unwrap();
             let passes = p[1].as_rat().unwrap() >= &Rat::from_int(lo as i64);
@@ -113,8 +114,9 @@ proptest! {
 
     #[test]
     fn project_is_pointwise_shadow(descs in arb_relation(4)) {
+        let (opts, stats) = (ExecOptions::default(), ExecStats::new());
         let rel = materialize(&descs);
-        let out = ops::project(&rel, &["id".into(), "x".into()]).unwrap();
+        let out = ops::project(&rel, &["id".into(), "x".into()], &opts, &stats).unwrap();
         for p in sample_points() {
             let shadow = [p[0].clone(), p[1].clone()];
             // Shadow membership: ∃y at this (id, x). Our y-extents all lie
@@ -147,8 +149,9 @@ proptest! {
 
     #[test]
     fn difference_is_pointwise_andnot(a in arb_relation(3), b in arb_relation(3)) {
+        let (opts, stats) = (ExecOptions::default(), ExecStats::new());
         let (ra, rb) = (materialize(&a), materialize(&b));
-        let out = ops::difference(&ra, &rb).unwrap();
+        let out = ops::difference(&ra, &rb, &opts, &stats).unwrap();
         for p in sample_points() {
             prop_assert_eq!(
                 out.contains_point(&p).unwrap(),
@@ -160,10 +163,11 @@ proptest! {
 
     #[test]
     fn join_on_full_schema_is_intersection(a in arb_relation(3), b in arb_relation(3)) {
+        let (opts, stats) = (ExecOptions::default(), ExecStats::new());
         // Same schema on both sides: natural join = intersection (the
         // paper's remark under the Natural-Join definition).
         let (ra, rb) = (materialize(&a), materialize(&b));
-        let out = ops::join(&ra, &rb).unwrap();
+        let out = ops::join(&ra, &rb, &opts, &stats).unwrap();
         for p in sample_points() {
             prop_assert_eq!(
                 out.contains_point(&p).unwrap(),
@@ -185,9 +189,10 @@ proptest! {
     /// idempotence of union.
     #[test]
     fn double_difference_law(a in arb_relation(2), b in arb_relation(2)) {
+        let (opts, stats) = (ExecOptions::default(), ExecStats::new());
         let (ra, rb) = (materialize(&a), materialize(&b));
-        let diff = ops::difference(&ra, &rb).unwrap();
-        let dd = ops::difference(&ra, &diff).unwrap();
+        let diff = ops::difference(&ra, &rb, &opts, &stats).unwrap();
+        let dd = ops::difference(&ra, &diff, &opts, &stats).unwrap();
         for p in sample_points() {
             if dd.contains_point(&p).unwrap() {
                 prop_assert!(ra.contains_point(&p).unwrap());

@@ -3,7 +3,9 @@
 
 use cqa::constraints::{Assignment, Var};
 use cqa::core::plan::{CmpOp, Plan, Selection};
-use cqa::core::{exec, optimizer, AttrDef, Catalog, HRelation, Schema, Value};
+use cqa::core::{
+    exec, optimizer, AttrDef, Catalog, ExecOptions, ExecStats, HRelation, Schema, Value,
+};
 use cqa::index::paged::persist;
 use cqa::index::{RStarParams, RStarTree, Rect};
 use cqa::num::Rat;
@@ -135,7 +137,8 @@ fn index_filter_refine_pipeline() {
         .cmp_int("x", CmpOp::Le, 40)
         .cmp_int("y", CmpOp::Ge, 10)
         .cmp_int("y", CmpOp::Le, 30);
-    let exact = cqa::core::ops::select(&rel, &sel).unwrap();
+    let (opts, stats) = (ExecOptions::default(), ExecStats::new());
+    let exact = cqa::core::ops::select(&rel, &sel, &opts, &stats).unwrap();
     // Refinement: candidates whose constraints intersect the query box.
     let refined: Vec<u64> = candidates
         .into_iter()
@@ -149,6 +152,8 @@ fn index_filter_refine_pipeline() {
                     single
                 },
                 &sel,
+                &opts,
+                &stats,
             )
             .unwrap()
             .tuples()

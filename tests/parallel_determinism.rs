@@ -15,7 +15,7 @@
 //! simplify), so thread-count comparisons hold the filter setting fixed.
 
 use cqa::constraints::{Atom, LinExpr, Var};
-use cqa::core::ops::{difference_opts, join_opts, select_opts};
+use cqa::core::ops::{difference, join, select};
 use cqa::core::plan::{CmpOp, Selection};
 use cqa::core::{AttrDef, Catalog, ExecOptions, ExecStats, HRelation, Schema};
 use cqa::lang::schema_def::parse_cdb;
@@ -125,11 +125,11 @@ fn random_joins_identical_across_threads_and_filter() {
     for seed in [1u64, 99, 0xDEAD] {
         let left = interval_relation("a", 60, seed);
         let right = interval_relation("b", 60, seed ^ 0x5555);
-        let base = join_opts(&left, &right, &ExecOptions::serial(), &ExecStats::new()).unwrap();
+        let base = join(&left, &right, &ExecOptions::serial(), &ExecStats::new()).unwrap();
         for threads in [1usize, 2, 4, 8] {
             for filter in [false, true] {
                 let opts = ExecOptions { threads, bbox_filter: filter, ..ExecOptions::default() };
-                let out = join_opts(&left, &right, &opts, &ExecStats::new()).unwrap();
+                let out = join(&left, &right, &opts, &ExecStats::new()).unwrap();
                 assert_eq!(base, out, "seed={} threads={} filter={}", seed, threads, filter);
             }
         }
@@ -140,11 +140,11 @@ fn random_joins_identical_across_threads_and_filter() {
 fn random_selects_identical_across_threads_and_filter() {
     let rel = interval_relation("a", 120, 7);
     let sel = Selection::all().cmp_int("x", CmpOp::Ge, 100).cmp_int("x", CmpOp::Le, 220);
-    let base = select_opts(&rel, &sel, &ExecOptions::serial(), &ExecStats::new()).unwrap();
+    let base = select(&rel, &sel, &ExecOptions::serial(), &ExecStats::new()).unwrap();
     for threads in [1usize, 2, 4, 8] {
         for filter in [false, true] {
             let opts = ExecOptions { threads, bbox_filter: filter, ..ExecOptions::default() };
-            let out = select_opts(&rel, &sel, &opts, &ExecStats::new()).unwrap();
+            let out = select(&rel, &sel, &opts, &ExecStats::new()).unwrap();
             assert_eq!(base, out, "threads={} filter={}", threads, filter);
         }
     }
@@ -171,7 +171,7 @@ fn random_differences_identical_across_threads() {
         rel
     };
     for filter in [false, true] {
-        let base = difference_opts(
+        let base = difference(
             &left,
             &right,
             &ExecOptions { threads: 1, bbox_filter: filter, ..ExecOptions::default() },
@@ -180,7 +180,7 @@ fn random_differences_identical_across_threads() {
         .unwrap();
         for threads in [2usize, 4, 8] {
             let opts = ExecOptions { threads, bbox_filter: filter, ..ExecOptions::default() };
-            let out = difference_opts(&left, &right, &opts, &ExecStats::new()).unwrap();
+            let out = difference(&left, &right, &opts, &ExecStats::new()).unwrap();
             assert_eq!(base, out, "threads={} filter={}", threads, filter);
         }
     }

@@ -5,7 +5,7 @@
 
 use cqa::core::plan::{CmpOp, Selection};
 use cqa::core::relational::RelTable;
-use cqa::core::{ops, AttrDef, HRelation, Schema, Tuple, Value};
+use cqa::core::{ops, AttrDef, ExecOptions, ExecStats, HRelation, Schema, Tuple, Value};
 
 /// A random small relational table over (name: Str, a: Rat, b: Rat) with
 /// occasional nulls.
@@ -91,43 +91,47 @@ mod properties {
 
         #[test]
         fn select_matches_oracle(t in arb_table(), threshold in -4i8..4, op_idx in 0usize..6) {
+            let (opts, stats) = (ExecOptions::default(), ExecStats::new());
             let op = [CmpOp::Eq, CmpOp::Ne, CmpOp::Le, CmpOp::Lt, CmpOp::Ge, CmpOp::Gt][op_idx];
             let sel = Selection::all().cmp_int("a", op, threshold as i64);
-            let h = ops::select(&to_hrelation(&t), &sel).unwrap();
+            let h = ops::select(&to_hrelation(&t), &sel, &opts, &stats).unwrap();
             let o = to_reltable(&t).select(&sel).unwrap();
             prop_assert_eq!(h_rows(&h), rel_rows(&o));
         }
 
         #[test]
         fn string_select_matches_oracle(t in arb_table(), target in 0u8..4, ne in any::<bool>()) {
+            let (opts, stats) = (ExecOptions::default(), ExecStats::new());
             let value = format!("n{}", target);
             let sel = if ne {
                 Selection::all().str_ne("name", value)
             } else {
                 Selection::all().str_eq("name", value)
             };
-            let h = ops::select(&to_hrelation(&t), &sel).unwrap();
+            let h = ops::select(&to_hrelation(&t), &sel, &opts, &stats).unwrap();
             let o = to_reltable(&t).select(&sel).unwrap();
             prop_assert_eq!(h_rows(&h), rel_rows(&o));
         }
 
         #[test]
         fn project_matches_oracle(t in arb_table()) {
+            let (opts, stats) = (ExecOptions::default(), ExecStats::new());
             let attrs = vec!["name".to_string(), "b".to_string()];
-            let h = ops::project(&to_hrelation(&t), &attrs).unwrap();
+            let h = ops::project(&to_hrelation(&t), &attrs, &opts, &stats).unwrap();
             let o = to_reltable(&t).project(&attrs).unwrap();
             prop_assert_eq!(h_rows(&h), rel_rows(&o));
         }
 
         #[test]
         fn join_matches_oracle(t1 in arb_table(), t2 in arb_table()) {
+            let (opts, stats) = (ExecOptions::default(), ExecStats::new());
             // Join on the shared attribute `name` after projecting different
             // column sets so the join is not trivial.
             let l_attrs = vec!["name".to_string(), "a".to_string()];
             let r_attrs = vec!["name".to_string(), "b".to_string()];
-            let hl = ops::project(&to_hrelation(&t1), &l_attrs).unwrap();
-            let hr = ops::project(&to_hrelation(&t2), &r_attrs).unwrap();
-            let h = ops::join(&hl, &hr).unwrap();
+            let hl = ops::project(&to_hrelation(&t1), &l_attrs, &opts, &stats).unwrap();
+            let hr = ops::project(&to_hrelation(&t2), &r_attrs, &opts, &stats).unwrap();
+            let h = ops::join(&hl, &hr, &opts, &stats).unwrap();
             let ol = to_reltable(&t1).project(&l_attrs).unwrap();
             let or = to_reltable(&t2).project(&r_attrs).unwrap();
             let o = ol.join(&or).unwrap();
@@ -143,7 +147,8 @@ mod properties {
 
         #[test]
         fn difference_matches_oracle(t1 in arb_table(), t2 in arb_table()) {
-            let h = ops::difference(&to_hrelation(&t1), &to_hrelation(&t2)).unwrap();
+            let (opts, stats) = (ExecOptions::default(), ExecStats::new());
+            let h = ops::difference(&to_hrelation(&t1), &to_hrelation(&t2), &opts, &stats).unwrap();
             let o = to_reltable(&t1).difference(&to_reltable(&t2)).unwrap();
             prop_assert_eq!(h_rows(&h), rel_rows(&o));
         }
@@ -163,9 +168,10 @@ mod properties {
 /// is not returned by "whose age is 40?" in either engine.
 #[test]
 fn missing_age_example() {
+    let (opts, stats) = (ExecOptions::default(), ExecStats::new());
     let t = TestTable { rows: vec![(Some(1), None, Some(0))] };
     let sel = Selection::all().cmp_int("a", CmpOp::Eq, 40);
-    let h = ops::select(&to_hrelation(&t), &sel).unwrap();
+    let h = ops::select(&to_hrelation(&t), &sel, &opts, &stats).unwrap();
     let o = to_reltable(&t).select(&sel).unwrap();
     assert!(h.is_empty());
     assert!(o.is_empty());
