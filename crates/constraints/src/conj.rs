@@ -8,10 +8,10 @@
 //! with the closure principle of §2.5.
 
 use crate::assignment::Assignment;
-use crate::atom::{Atom, Rel};
+use crate::atom::Atom;
 use crate::budget::{Budget, BudgetExceeded};
 use crate::fourier_motzkin::{self, Eliminated};
-use crate::interval::{Bound, Interval};
+use crate::interval::Interval;
 use crate::linexpr::LinExpr;
 use crate::var::Var;
 use cqa_num::Rat;
@@ -242,19 +242,10 @@ impl Conjunction {
         let mut interval = Interval::full();
         for a in &projected.atoms {
             let c = a.expr().coeff(v);
-            if c.is_zero() {
-                continue; // ground leftovers are true by construction
+            // Ground leftovers are true by construction.
+            if !c.is_zero() {
+                interval.narrow(a, &c);
             }
-            // c·v + k rel 0  ⇔  v rel -k/c (c>0) or v inv-rel -k/c (c<0)
-            let k = a.expr().constant_term();
-            let bound_val = -(k / &c);
-            let strict = a.rel() == Rel::Lt;
-            let this = match (a.rel(), c.is_positive()) {
-                (Rel::Eq, _) => Interval::point(bound_val),
-                (_, true) => Interval::new(None, Some(Bound { value: bound_val, strict })),
-                (_, false) => Interval::new(Some(Bound { value: bound_val, strict }), None),
-            };
-            interval = interval.intersect(&this);
         }
         interval
     }
@@ -435,6 +426,7 @@ impl fmt::Debug for Conjunction {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::interval::Bound;
 
     fn x() -> Var {
         Var(0)

@@ -197,6 +197,43 @@ proptest! {
     }
 }
 
+/// Strategy: one random *box* atom — on a single variable of x, y, z —
+/// so the conjunction is decided from per-variable intervals.
+fn arb_box_atom() -> impl Strategy<Value = Atom> {
+    (0u32..3, -3i32..=3, -6i32..=6, 0u8..3)
+        .prop_filter("nonzero coefficient", |(_, c, _, _)| *c != 0)
+        .prop_map(|(v, c, k, rel)| {
+            let e = LinExpr::from_terms([(Var(v), Rat::from_int(c as i64))], Rat::from_int(k as i64));
+            match rel {
+                0 => Atom::new(e, cqa_constraints::Rel::Le),
+                1 => Atom::new(e, cqa_constraints::Rel::Lt),
+                _ => Atom::new(e, cqa_constraints::Rel::Eq),
+            }
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The interval shortcut against pointwise semantics: a point that
+    /// satisfies a box conjunction proves it satisfiable and lies in
+    /// every variable's bounds.
+    #[test]
+    fn box_bounds_contain_all_points(
+        atoms in prop::collection::vec(arb_box_atom(), 0..=5),
+        p in arb_point(),
+    ) {
+        let c = Conjunction::from_atoms(atoms);
+        if c.eval(&p) == Some(true) {
+            prop_assert!(c.is_satisfiable(), "{} satisfied at a point", c);
+            for v in [X, Y, Z] {
+                prop_assert!(c.bounds(v).contains(p.get(v).unwrap()),
+                    "bounds({}) of {} missed witness", v, c);
+            }
+        }
+    }
+}
+
 /// Interval algebra properties: intersection is pointwise conjunction, and
 /// membership respects strictness at the endpoints.
 mod interval_props {
