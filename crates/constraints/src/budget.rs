@@ -21,6 +21,9 @@ pub struct Budget<'a> {
     pub fm_peak: Option<&'a AtomicU64>,
     /// If set, incremented once per elimination run.
     pub fm_calls: Option<&'a AtomicU64>,
+    /// If set, incremented once per elimination run the per-variable
+    /// interval shortcut answered (a subset of `fm_calls`).
+    pub fm_interval_calls: Option<&'a AtomicU64>,
     /// If set, incremented once per conjunction a DNF product builds,
     /// kept or discarded.
     pub dnf_built: Option<&'a AtomicU64>,
@@ -30,6 +33,13 @@ impl Budget<'_> {
     /// Counts one elimination run.
     pub(crate) fn count_fm_call(&self) {
         if let Some(calls) = self.fm_calls {
+            calls.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// Counts one elimination run answered by the interval shortcut.
+    pub(crate) fn count_fm_interval_call(&self) {
+        if let Some(calls) = self.fm_interval_calls {
             calls.fetch_add(1, Ordering::Relaxed);
         }
     }

@@ -150,7 +150,11 @@ impl TraceNode {
             let _ = write!(out, ", {} index node(s) accessed", c(IndexAccesses));
         }
         if c(FmCalls) > 0 {
-            let _ = write!(out, ", fm {} call(s) peak {} atom(s)", c(FmCalls), c(FmPeakAtoms));
+            let _ = write!(out, ", fm {} call(s)", c(FmCalls));
+            if c(FmIntervalCalls) > 0 {
+                let _ = write!(out, " ({} by interval)", c(FmIntervalCalls));
+            }
+            let _ = write!(out, " peak {} atom(s)", c(FmPeakAtoms));
         }
         if c(DnfConjunctions) > 0 {
             let _ = write!(out, ", dnf {} conjunction(s) built", c(DnfConjunctions));
@@ -823,6 +827,9 @@ mod tests {
         assert_eq!(trace.children[0].counter(ExecCounter::FilterChecked), 2);
         // The projection's eliminations are visible per node.
         assert!(trace.counter(ExecCounter::FmCalls) >= 1, "project runs FM per tuple");
+        // Every tuple is a box, so the interval shortcut answered them all.
+        assert_eq!(trace.counter(ExecCounter::FmIntervalCalls), trace.counter(ExecCounter::FmCalls));
+        assert!(shown.contains(" by interval) peak "), "{}", shown);
         // Safety still enforced.
         let bad = Plan::Distance { left: "Probes".into(), right: "Cities".into() };
         assert!(execute_traced(&bad, &cat).is_err());

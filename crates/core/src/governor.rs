@@ -213,13 +213,15 @@ impl Governor {
 
     /// The constraint-algorithm budget of this governor: its FM-atom and
     /// DNF-conjunction ceilings, counting the peak FM system, the FM calls
-    /// and the built DNF conjunctions into `stats`.
+    /// (and those the interval shortcut answered) and the built DNF
+    /// conjunctions into `stats`.
     pub fn budget<'a>(&self, stats: &'a ExecStats) -> cqa_constraints::Budget<'a> {
         cqa_constraints::Budget {
             max_fm_atoms: self.budgets.max_fm_atoms,
             max_dnf_conjunctions: self.budgets.max_dnf_conjunctions,
             fm_peak: Some(stats.cell(ExecCounter::FmPeakAtoms)),
             fm_calls: Some(stats.cell(ExecCounter::FmCalls)),
+            fm_interval_calls: Some(stats.cell(ExecCounter::FmIntervalCalls)),
             dnf_built: Some(stats.cell(ExecCounter::DnfConjunctions)),
         }
     }

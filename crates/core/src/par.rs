@@ -104,8 +104,11 @@ exec_counters! {
     FilterRejected: "filter_rejected" => "exec.filter.rejected", Sum;
     /// Peak intermediate atom count of any Fourier–Motzkin elimination.
     FmPeakAtoms: "fm_peak_atoms" => "exec.fm.peak_atoms", Max;
-    /// Fourier–Motzkin runs (satisfiability checks and projections).
+    /// Fourier–Motzkin runs (satisfiability checks and projections),
+    /// answered by either the elimination loop or the interval shortcut.
     FmCalls: "fm_calls" => "exec.fm.calls", Sum;
+    /// Of `exec.fm.calls`, those the interval shortcut answered.
+    FmIntervalCalls: "fm_interval_calls" => "exec.fm.interval_calls", Sum;
     /// Index-assisted selection probes.
     IndexProbes: "index_probes" => "exec.index.probes", Sum;
     /// R*-tree nodes visited by those probes.

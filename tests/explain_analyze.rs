@@ -91,6 +91,7 @@ fn trace_json_round_trips_with_schema() {
             "filter_rejected",
             "fm_peak_atoms",
             "fm_calls",
+            "fm_interval_calls",
             "index_probes",
             "index_accesses",
             "pairs_enumerated",
