@@ -6,8 +6,9 @@
 //! * **Overhead gate** — the instrumented evaluator with metrics *enabled*
 //!   must stay within 3% of the same evaluator with metrics *disabled* on
 //!   the seeded bench join (disabled short-circuits to the pre-existing
-//!   per-run atomics, i.e. the seed's cost). Interleaved A/B repeats,
-//!   median-vs-median.
+//!   per-run atomics, i.e. the seed's cost). Interleaved on/off pairs —
+//!   at least 21, and at least 3 s per side — gate the median of the
+//!   per-pair ratios; their interquartile range is printed beside it.
 //! * **Golden snapshot** (`--golden`) — runs a fixed seeded workload
 //!   (algebra + indexed selection + faulty buffer pool) against a reset
 //!   registry and prints `Snapshot::canonical()`: counter/gauge values and
@@ -38,6 +39,10 @@ use std::time::Instant;
 
 const SEED: u64 = 0x0B5E_7B5E;
 const OVERHEAD_LIMIT: f64 = 1.03;
+/// The overhead gate measures at least this many on/off pairs...
+const MIN_PAIRS: usize = 21;
+/// ...and until each side has run for at least this long.
+const MIN_SIDE_MS: f64 = 3000.0;
 
 fn main() {
     let mut quick = false;
@@ -89,13 +94,13 @@ fn main() {
         return;
     }
 
-    let (n, repeats) = if quick { (150, 3) } else { (400, 5) };
+    let n = if quick { 150 } else { 400 };
     println!("# obs_bench ({}): seed {:#x}", if quick { "quick" } else { "full" }, SEED);
 
-    let (ratio, med_on, med_off) = overhead_gate(n, repeats);
+    let Overhead { ratio, iqr, pairs, med_on, med_off } = overhead_gate(n);
     println!(
-        "OVERHEAD_RATIO {:.4} (metrics on {:.2} ms vs off {:.2} ms, median of {})",
-        ratio, med_on, med_off, repeats
+        "OVERHEAD_RATIO {:.4} IQR {:.4} (median of {} on/off pair ratios; metrics on {:.2} ms vs off {:.2} ms)",
+        ratio, iqr, pairs, med_on, med_off
     );
     let pass = ratio <= OVERHEAD_LIMIT;
     println!("OVERHEAD_GATE {}", if pass { "PASS" } else { "FAIL" });
@@ -114,6 +119,8 @@ fn main() {
             ("metrics_on_ms".to_string(), Json::Num(med_on)),
             ("metrics_off_ms".to_string(), Json::Num(med_off)),
             ("ratio".to_string(), Json::Num((ratio * 1e4).round() / 1e4)),
+            ("ratio_iqr".to_string(), Json::Num((iqr * 1e4).round() / 1e4)),
+            ("pairs".to_string(), Json::from_u64(pairs as u64)),
             ("limit".to_string(), Json::Num(OVERHEAD_LIMIT)),
             ("pass".to_string(), Json::Bool(pass)),
         ])),
@@ -167,12 +174,24 @@ fn box_relation(n: usize, seed: u64) -> HRelation {
     rel
 }
 
-/// Interleaved A/B medians of the seeded join with the full telemetry
+/// The overhead gate's measurement: the median and interquartile range
+/// of the per-pair on/off ratios, the pair count, and each side's median.
+struct Overhead {
+    ratio: f64,
+    iqr: f64,
+    pairs: usize,
+    med_on: f64,
+    med_off: f64,
+}
+
+/// Interleaved on/off pairs of the seeded join with the full telemetry
 /// path on vs. off. "On" is the complete enabled configuration — metrics
 /// registry and JSONL event log — because that is what a production
 /// scrape target actually runs; "off" is the single master switch users
-/// get, which short-circuits all of it.
-fn overhead_gate(n: usize, repeats: usize) -> (f64, f64, f64) {
+/// get, which short-circuits all of it. A pair's two runs are adjacent,
+/// so machine drift cancels within its ratio; the gate reads the median
+/// ratio.
+fn overhead_gate(n: usize) -> Overhead {
     let mut cat = Catalog::new();
     cat.register("L", interval_relation("aid", n, SEED));
     cat.register("R", interval_relation("bid", n, SEED ^ 0x9E37_79B9));
@@ -196,25 +215,42 @@ fn overhead_gate(n: usize, repeats: usize) -> (f64, f64, f64) {
         std::hint::black_box(out.len());
         ms
     };
-    // Warm-up both paths once, then interleave measurements so drift hits
-    // both sides equally.
+    // Warm up both paths once, then measure pairs, alternating which side
+    // runs first so neither always follows the other.
     run_once(true);
     run_once(false);
-    let mut on = Vec::with_capacity(repeats);
-    let mut off = Vec::with_capacity(repeats);
-    for _ in 0..repeats {
-        on.push(run_once(true));
-        off.push(run_once(false));
+    let (mut on, mut off) = (Vec::new(), Vec::new());
+    while on.len() < MIN_PAIRS
+        || on.iter().sum::<f64>() < MIN_SIDE_MS
+        || off.iter().sum::<f64>() < MIN_SIDE_MS
+    {
+        if on.len() % 2 == 0 {
+            on.push(run_once(true));
+            off.push(run_once(false));
+        } else {
+            off.push(run_once(false));
+            on.push(run_once(true));
+        }
     }
     cqa::obs::set_metrics_enabled(true);
     cqa::obs::eventlog::uninstall();
     let _ = std::fs::remove_file(&log_path);
-    let med = |v: &mut Vec<f64>| {
-        v.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-        v[v.len() / 2]
-    };
-    let (m_on, m_off) = (med(&mut on), med(&mut off));
-    ((m_on / m_off).max(0.0), m_on, m_off)
+    let mut ratios: Vec<f64> = on.iter().zip(&off).map(|(a, b)| a / b).collect();
+    let [q1, ratio, q3] = quartiles(&mut ratios);
+    Overhead {
+        ratio,
+        iqr: q3 - q1,
+        pairs: ratios.len(),
+        med_on: quartiles(&mut on)[1],
+        med_off: quartiles(&mut off)[1],
+    }
+}
+
+/// The lower quartile, median, and upper quartile of `v` (nearest rank).
+fn quartiles(v: &mut [f64]) -> [f64; 3] {
+    v.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+    let at = |k: usize| v[(v.len() - 1) * k / 4];
+    [at(1), at(2), at(3)]
 }
 
 /// §5-style experiment: the same bounded selections through a joint 2-D

@@ -29,9 +29,9 @@ echo "== fault-matrix gate: injected storage faults stay typed =="
 cargo run -q --release -p cqa-bench --bin fault_matrix | tail -2
 
 echo "== observability gates: overhead <= 3%, golden metrics snapshot =="
-# --gate makes obs_bench exit non-zero if the full telemetry-enabled
-# median (metrics + event log) exceeds the disabled
-# median by more than 3% on the bench join.
+# --gate makes obs_bench exit non-zero if the median ratio of
+# interleaved telemetry-enabled (metrics + event log) / disabled runs of
+# the bench join exceeds 1.03 (at least 21 pairs, at least 3 s per side).
 cargo run -q --release -p cqa-bench --bin obs_bench -- --quick --gate --out /tmp/verify_obs.json
 # The seeded golden workload must reproduce the committed counter
 # snapshot exactly (counts only — no timings — so this is bit-stable).
