@@ -8,7 +8,6 @@
 //! | `figure5`     | Figure 5       | disk accesses vs. query length, joint vs. separate, for constraint (expt 2-A) and relational (expt 2-B) data |
 //! | `expt3`       | experiment 3 (reconstructed) | 500 mixed queries: total accesses under joint, separate, and advisor-chosen indexing |
 //! | `selectivity` | §5.3 prose claim | the low-selectivity-conjunction scenario: joint ≈ logarithmic vs. separate ≈ linear |
-//! | `hurricane_perf` | §3.3 case study | wall-clock timings of the five Hurricane queries |
 //!
 //! The workload generator reproduces the §5.4 protocol exactly (10,000
 //! data rectangles with extents in `\[1,100\]` and corners in `\[0,3000\]`²; 100
