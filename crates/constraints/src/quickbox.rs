@@ -24,6 +24,12 @@
 //! unsatisfiable, while `false` says nothing — exactly the contract a
 //! filter needs. The property suite checks the implication against the
 //! exact solver.
+//!
+//! For a survivor that is itself a box system (every atom on one
+//! variable), the exact check that follows is cheap too:
+//! [`crate::fourier_motzkin::eliminate`] decides it from the same
+//! single-variable bounds in exact rationals, with strictness, instead
+//! of running Fourier–Motzkin.
 
 use crate::{Conjunction, Rel, Var};
 
