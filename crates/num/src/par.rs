@@ -200,22 +200,32 @@ where
     let slots: Vec<Mutex<Vec<R>>> = (0..chunks).map(|_| Mutex::new(Vec::new())).collect();
 
     std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                if tripped() {
-                    break;
-                }
-                let c = queue.fetch_add(1, Ordering::Relaxed);
-                if c >= chunks {
-                    break;
-                }
-                let lo = c * chunk_size;
-                let hi = (lo + chunk_size).min(n);
-                let mut out = Vec::new();
-                body(&items[lo..hi], &mut out);
-                // Sole writer for slot `c`; the lock is uncontended.
-                *slots[c].lock().expect("no worker panicked holding a slot") = out;
-            });
+        let workers: Vec<_> = (0..threads)
+            .map(|_| {
+                scope.spawn(|| loop {
+                    if tripped() {
+                        break;
+                    }
+                    let c = queue.fetch_add(1, Ordering::Relaxed);
+                    if c >= chunks {
+                        break;
+                    }
+                    let lo = c * chunk_size;
+                    let hi = (lo + chunk_size).min(n);
+                    let mut out = Vec::new();
+                    body(&items[lo..hi], &mut out);
+                    // Sole writer for slot `c`; the lock is uncontended.
+                    *slots[c].lock().expect("no worker panicked holding a slot") = out;
+                })
+            })
+            .collect();
+        // Join explicitly: the scope's own wait ends when the closures
+        // return, before the threads exit and hand their malloc arenas
+        // back, so back-to-back calls would otherwise make new arenas.
+        for worker in workers {
+            if let Err(panic) = worker.join() {
+                std::panic::resume_unwind(panic);
+            }
         }
     });
 
