@@ -132,11 +132,12 @@ fn bench_index_select(c: &mut Criterion) {
             .cmp_int("x", CmpOp::Le, 340)
             .cmp_int("y", CmpOp::Le, 160),
     );
+    let (opts, stats) = (ExecOptions::default(), ExecStats::new());
     c.bench_function("select_2000_scan", |b| {
-        b.iter(|| exec::execute(&plan, &plain).unwrap())
+        b.iter(|| exec::execute(&plan, &plain, &opts, &stats).unwrap())
     });
     c.bench_function("select_2000_indexed", |b| {
-        b.iter(|| exec::execute(&plan, &indexed).unwrap())
+        b.iter(|| exec::execute(&plan, &indexed, &opts, &stats).unwrap())
     });
 }
 

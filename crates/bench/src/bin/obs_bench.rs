@@ -210,7 +210,7 @@ fn overhead_gate(n: usize) -> Overhead {
         cqa::obs::set_metrics_enabled(enabled);
         let stats = ExecStats::new();
         let t = Instant::now();
-        let out = exec::execute_opts(&plan, &cat, &opts, &stats).expect("join succeeds");
+        let out = exec::execute(&plan, &cat, &opts, &stats).expect("join succeeds");
         let ms = t.elapsed().as_secs_f64() * 1e3;
         std::hint::black_box(out.len());
         ms
@@ -285,7 +285,7 @@ fn index_experiment(n: usize) -> Json {
         let mut rows = 0usize;
         for sel in &queries {
             let plan = Plan::scan("R").select(sel.clone());
-            let out = exec::execute_opts(&plan, cat, &ExecOptions::default(), &stats)
+            let out = exec::execute(&plan, cat, &ExecOptions::default(), &stats)
                 .expect("selection succeeds");
             rows += out.len();
         }
@@ -321,7 +321,7 @@ fn operator_breakdown(n: usize) -> Json {
     cat.register("R", interval_relation("bid", n, SEED ^ 0x9E37_79B9));
     let plan = Plan::scan("L").join(Plan::scan("R")).project(&["x"]);
     let (_, trace) =
-        exec::execute_traced_opts(&plan, &cat, &ExecOptions::default(), &ExecStats::new())
+        exec::execute_traced(&plan, &cat, &ExecOptions::default(), &ExecStats::new())
             .expect("traced join succeeds");
     trace.to_json()
 }
@@ -344,7 +344,7 @@ fn run_golden_workload() {
     cat.build_index("B", &["x", "y"]).expect("index");
     let opts = ExecOptions::with_threads(2);
     let run = |cat: &Catalog, plan: &Plan| {
-        exec::execute_opts(plan, cat, &opts, &ExecStats::new()).expect("golden query succeeds")
+        exec::execute(plan, cat, &opts, &ExecStats::new()).expect("golden query succeeds")
     };
     run(&cat, &Plan::scan("L").join(Plan::scan("R")).project(&["x"]));
     run(
@@ -397,7 +397,7 @@ fn run_flight_smoke() {
     let plan = Plan::scan("L").join(Plan::scan("R"));
     let mut opts = ExecOptions::with_threads(2);
     opts.governor.timeout = Some(std::time::Duration::ZERO);
-    let err = exec::execute_traced_opts(&plan, &cat, &opts, &ExecStats::new())
+    let err = exec::execute_traced(&plan, &cat, &opts, &ExecStats::new())
         .expect_err("zero deadline must abort the join");
     assert_eq!(err.outcome(), "deadline_exceeded", "got {:?}", err);
 

@@ -145,12 +145,12 @@ impl RelationIndex {
         let (mut ids, accesses) = match &self.tree {
             IndexTree::One(t) => {
                 let (lo, hi) = get(0);
-                t.search_with_stats(&Rect::new([lo], [hi]))
+                t.search(&Rect::new([lo], [hi]))
             }
             IndexTree::Two(t) => {
                 let (xlo, xhi) = get(0);
                 let (ylo, yhi) = get(1);
-                t.search_with_stats(&Rect::new([xlo, ylo], [xhi, yhi]))
+                t.search(&Rect::new([xlo, ylo], [xhi, yhi]))
             }
         };
         self.accesses.fetch_add(accesses, Ordering::Relaxed);

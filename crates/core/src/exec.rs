@@ -13,11 +13,13 @@
 //! borrowed from the catalog (`Cow`), not cloned, so a scan feeding an
 //! operator costs nothing.
 //!
-//! Tracing and plain execution share **one** evaluator: [`eval`] takes an
-//! optional trace sink, so the traced path makes exactly the physical
-//! choices (index-assisted selection included) the untraced path makes —
-//! `EXPLAIN ANALYZE` reports the plan that actually runs. Per-run totals
-//! flush into the global `cqa-obs` metrics registry at run end.
+//! There are two entries, both `(plan, catalog, opts, stats)`:
+//! [`execute`] returns the relation, and [`execute_traced`] also returns
+//! the per-node [`TraceNode`] tree. They share **one** evaluator: [`eval`]
+//! takes an optional trace sink, so the traced path makes exactly the
+//! physical choices (index-assisted selection included) the untraced path
+//! makes — `EXPLAIN ANALYZE` reports the plan that actually runs. Per-run
+//! totals flush into the global `cqa-obs` metrics registry at run end.
 
 use std::borrow::Cow;
 use std::time::{Duration, Instant};
@@ -33,22 +35,16 @@ use crate::schema::{AttrDef, Schema};
 use crate::tuple::Tuple;
 use crate::value::Value;
 
-/// Evaluates a plan against a catalog with default [`ExecOptions`]
-/// (after a safety check).
-pub fn execute(plan: &Plan, catalog: &Catalog) -> Result<HRelation> {
-    execute_opts(plan, catalog, &ExecOptions::default(), &ExecStats::new())
-}
-
-/// Evaluates a plan with explicit execution options; evaluation counters
-/// (filter hits, FM calls/peak, index probes, join pairs, DNF growth)
-/// accumulate into `stats` across the whole plan.
+/// Evaluates a plan against a catalog (after a safety check) under
+/// `opts`; evaluation counters (filter hits, FM calls/peak, index probes,
+/// join pairs, DNF growth) accumulate into `stats` across the whole plan.
 ///
 /// The run is governed: the governor in `opts` is armed (deadline reset,
 /// token lowered) before evaluation, operators poll its token between
 /// chunks, and budget trips surface as typed errors. A run that fails
 /// mid-way returns `Err` with **no** partial output — callers registering
 /// results only on `Ok` observe all-or-nothing semantics.
-pub fn execute_opts(
+pub fn execute(
     plan: &Plan,
     catalog: &Catalog,
     opts: &ExecOptions,
@@ -249,18 +245,13 @@ pub fn render_explain_analyze(trace: &TraceNode, opts: &ExecOptions) -> String {
 
 /// Evaluates a plan, also producing a per-node trace (row counts,
 /// self-times, filter hit rates, index accesses) — the data behind the
-/// `EXPLAIN ANALYZE` of the CQA layer. Uses default [`ExecOptions`].
+/// `EXPLAIN ANALYZE` of the CQA layer. Counters accumulate into `stats`
+/// (absorbed at run end, like [`execute`]).
 ///
 /// The traced evaluator **is** the plain evaluator with a trace sink
 /// attached: physical choices (index-assisted selection included) and
 /// results are identical to [`execute`].
-pub fn execute_traced(plan: &Plan, catalog: &Catalog) -> Result<(HRelation, TraceNode)> {
-    execute_traced_opts(plan, catalog, &ExecOptions::default(), &ExecStats::new())
-}
-
-/// [`execute_traced`] with explicit execution options; counters also
-/// accumulate into `stats` (absorbed at run end, like [`execute_opts`]).
-pub fn execute_traced_opts(
+pub fn execute_traced(
     plan: &Plan,
     catalog: &Catalog,
     opts: &ExecOptions,
@@ -271,9 +262,9 @@ pub fn execute_traced_opts(
     Ok((rel, roots.pop().expect("traced eval pushes exactly one root")))
 }
 
-/// The run lifecycle shared by [`execute_opts`] and
-/// [`execute_traced_opts`]: safety check, governor arm, evaluation (with
-/// the trace sink, if any), then run-end bookkeeping and telemetry.
+/// The run lifecycle shared by [`execute`] and [`execute_traced`]:
+/// safety check, governor arm, evaluation (with the trace sink, if any),
+/// then run-end bookkeeping and telemetry.
 fn run_plan(
     plan: &Plan,
     catalog: &Catalog,
@@ -727,6 +718,10 @@ mod tests {
     use cqa_num::Rat;
     use cqa_spatial::{Feature, Geometry, Point, SpatialRelation};
 
+    fn run(plan: &Plan, cat: &Catalog) -> Result<HRelation> {
+        execute(plan, cat, &ExecOptions::default(), &ExecStats::new())
+    }
+
     fn catalog() -> Catalog {
         let mut cat = Catalog::new();
         let schema = Schema::new(vec![
@@ -758,12 +753,12 @@ mod tests {
         let plan = Plan::scan("R")
             .select(Selection::all().cmp_int("x", CmpOp::Ge, 5))
             .project(&["id"]);
-        let out = execute(&plan, &cat).unwrap();
+        let out = run(&plan, &cat).unwrap();
         assert_eq!(out.len(), 2, "both intervals reach x ≥ 5");
         let plan = Plan::scan("R")
             .select(Selection::all().cmp_int("x", CmpOp::Ge, 15))
             .project(&["id"]);
-        let out = execute(&plan, &cat).unwrap();
+        let out = run(&plan, &cat).unwrap();
         assert_eq!(out.len(), 1);
         assert_eq!(out.tuples()[0].value(0), Some(&Value::str("b")));
     }
@@ -771,8 +766,8 @@ mod tests {
     #[test]
     fn missing_relation_is_an_error() {
         let cat = catalog();
-        assert!(execute(&Plan::scan("Nope"), &cat).is_err());
-        assert!(execute(
+        assert!(run(&Plan::scan("Nope"), &cat).is_err());
+        assert!(run(
             &Plan::BufferJoin { left: "Nope".into(), right: "Cities".into(), distance: Rat::one() },
             &cat
         )
@@ -787,7 +782,7 @@ mod tests {
             right: "Cities".into(),
             distance: Rat::from_int(2),
         };
-        let out = execute(&plan, &cat).unwrap();
+        let out = run(&plan, &cat).unwrap();
         assert_eq!(out.len(), 1);
         assert!(out
             .contains_point(&[Value::str("p"), Value::str("c0")])
@@ -800,7 +795,7 @@ mod tests {
         let cat = catalog();
         let plan = Plan::KNearest { left: "Probes".into(), right: "Cities".into(), k: 2 }
             .select(Selection::all().str_eq("id2", "c1"));
-        let out = execute(&plan, &cat).unwrap();
+        let out = run(&plan, &cat).unwrap();
         assert_eq!(out.len(), 1);
     }
 
@@ -810,8 +805,9 @@ mod tests {
         let plan = Plan::scan("R")
             .select(Selection::all().cmp_int("x", CmpOp::Ge, 5))
             .project(&["id"]);
-        let plain = execute(&plan, &cat).unwrap();
-        let (traced, trace) = execute_traced(&plan, &cat).unwrap();
+        let plain = run(&plan, &cat).unwrap();
+        let (traced, trace) =
+            execute_traced(&plan, &cat, &ExecOptions::default(), &ExecStats::new()).unwrap();
         assert_eq!(plain, traced);
         // Trace shape mirrors the plan: Project -> Select -> Scan.
         assert!(trace.label.starts_with("Project"));
@@ -832,7 +828,7 @@ mod tests {
         assert!(shown.contains(" by interval) peak "), "{}", shown);
         // Safety still enforced.
         let bad = Plan::Distance { left: "Probes".into(), right: "Cities".into() };
-        assert!(execute_traced(&bad, &cat).is_err());
+        assert!(execute_traced(&bad, &cat, &ExecOptions::default(), &ExecStats::new()).is_err());
     }
 
     #[test]
@@ -840,9 +836,9 @@ mod tests {
         let cat = catalog();
         let plan = Plan::scan("R").select(Selection::all().cmp_int("x", CmpOp::Ge, 5));
         let plain_stats = ExecStats::new();
-        execute_opts(&plan, &cat, &ExecOptions::default(), &plain_stats).unwrap();
+        execute(&plan, &cat, &ExecOptions::default(), &plain_stats).unwrap();
         let traced_stats = ExecStats::new();
-        execute_traced_opts(&plan, &cat, &ExecOptions::default(), &traced_stats).unwrap();
+        execute_traced(&plan, &cat, &ExecOptions::default(), &traced_stats).unwrap();
         assert_eq!(plain_stats.values(), traced_stats.values());
     }
 
@@ -855,13 +851,13 @@ mod tests {
         let plan = Plan::scan("R")
             .select(Selection::all().cmp_int("x", CmpOp::Ge, 15).cmp_int("x", CmpOp::Le, 40));
         let accesses_before = cat.indexes("R")[0].accesses();
-        let plain = execute(&plan, &cat).unwrap();
+        let plain = run(&plan, &cat).unwrap();
         let untraced_accesses = cat.indexes("R")[0].accesses() - accesses_before;
         assert!(untraced_accesses > 0, "untraced path probed the index");
 
         let stats = ExecStats::new();
         let (traced, trace) =
-            execute_traced_opts(&plan, &cat, &ExecOptions::default(), &stats).unwrap();
+            execute_traced(&plan, &cat, &ExecOptions::default(), &stats).unwrap();
         let traced_accesses = cat.indexes("R")[0].accesses() - accesses_before - untraced_accesses;
         assert_eq!(plain, traced, "identical relations");
         assert_eq!(untraced_accesses, traced_accesses, "identical physical plan");
@@ -874,7 +870,7 @@ mod tests {
         // And the identity digest is stable across thread counts.
         let id1 = trace.identity();
         for threads in [1usize, 2, 8] {
-            let (rel, t) = execute_traced_opts(
+            let (rel, t) = execute_traced(
                 &plan,
                 &cat,
                 &ExecOptions::with_threads(threads),
@@ -894,7 +890,7 @@ mod tests {
             .select(Selection::all().cmp_int("x", CmpOp::Ge, 5))
             .project(&["id"]);
         let opts = ExecOptions::default();
-        let (_, trace) = execute_traced_opts(&plan, &cat, &opts, &ExecStats::new()).unwrap();
+        let (_, trace) = execute_traced(&plan, &cat, &opts, &ExecStats::new()).unwrap();
         let text = render_explain_analyze(&trace, &opts);
         assert!(text.contains("row(s)"), "{}", text);
         assert!(text.contains("index [x]"), "{}", text);
@@ -917,16 +913,16 @@ mod tests {
         let plan = Plan::scan("R")
             .select(Selection::all().cmp_int("x", CmpOp::Ge, 5))
             .project(&["id"]);
-        let base = execute(&plan, &cat).unwrap();
+        let base = run(&plan, &cat).unwrap();
         for threads in [1usize, 2, 3, 8] {
             let stats = ExecStats::new();
             let out =
-                execute_opts(&plan, &cat, &ExecOptions::with_threads(threads), &stats).unwrap();
+                execute(&plan, &cat, &ExecOptions::with_threads(threads), &stats).unwrap();
             assert_eq!(base, out, "threads={}", threads);
         }
         // The serial pre-parallelism baseline agrees too (filter off).
         let stats = ExecStats::new();
-        let out = execute_opts(&plan, &cat, &ExecOptions::serial(), &stats).unwrap();
+        let out = execute(&plan, &cat, &ExecOptions::serial(), &stats).unwrap();
         assert_eq!(base, out);
         assert_eq!(stats.get(ExecCounter::FilterChecked), 0, "serial baseline never consults the filter");
     }
@@ -980,8 +976,8 @@ mod tests {
         ];
         for sel in selections {
             let plan = Plan::scan("R").select(sel.clone());
-            let a = execute(&plan, &plain).unwrap();
-            let b = execute(&plan, &indexed).unwrap();
+            let a = run(&plan, &plain).unwrap();
+            let b = run(&plan, &indexed).unwrap();
             assert_eq!(a, b, "selection {:?}", sel);
         }
         // The index actually got used.
@@ -1000,7 +996,7 @@ mod tests {
         let plan = Plan::scan("R").select(
             Selection::all().cmp_int("x", CmpOp::Ge, 10).cmp_int("x", CmpOp::Le, 5),
         );
-        let out = execute(&plan, &cat).unwrap();
+        let out = run(&plan, &cat).unwrap();
         assert!(out.is_empty());
     }
 
@@ -1013,7 +1009,7 @@ mod tests {
         };
         // A selection that bounds nothing the index covers.
         let plan = Plan::scan("R").select(Selection::all().str_eq("id", "a"));
-        let out = execute(&plan, &cat).unwrap();
+        let out = run(&plan, &cat).unwrap();
         assert_eq!(out.len(), 1);
         assert_eq!(cat.indexes("R")[0].accesses(), 0, "no probe charged");
     }
@@ -1043,7 +1039,7 @@ mod tests {
         let mut opts = ExecOptions::default();
         opts.governor.budgets.max_output_tuples = Some(1);
         assert!(matches!(
-            execute_opts(&plan, &cat, &opts, &ExecStats::new()),
+            execute(&plan, &cat, &opts, &ExecStats::new()),
             Err(CoreError::BudgetExceeded { what: "output tuples", used: 2, limit: 1 })
         ));
 
@@ -1052,7 +1048,7 @@ mod tests {
             let mut opts = ExecOptions::with_threads(threads);
             opts.governor.timeout = Some(std::time::Duration::ZERO);
             assert_eq!(
-                execute_opts(&plan, &cat, &opts, &ExecStats::new()),
+                execute(&plan, &cat, &opts, &ExecStats::new()),
                 Err(CoreError::DeadlineExceeded),
                 "threads={}",
                 threads
@@ -1063,7 +1059,7 @@ mod tests {
         let opts = ExecOptions::default();
         opts.governor.trip_after(1);
         assert_eq!(
-            execute_opts(&plan, &cat, &opts, &ExecStats::new()),
+            execute(&plan, &cat, &opts, &ExecStats::new()),
             Err(CoreError::Cancelled)
         );
 
@@ -1072,8 +1068,8 @@ mod tests {
         opts.governor.timeout = Some(std::time::Duration::from_secs(3600));
         opts.governor.budgets.max_output_tuples = Some(1_000_000);
         assert_eq!(
-            execute_opts(&plan, &cat, &opts, &ExecStats::new()).unwrap(),
-            execute(&plan, &cat).unwrap()
+            execute(&plan, &cat, &opts, &ExecStats::new()).unwrap(),
+            run(&plan, &cat).unwrap()
         );
     }
 
@@ -1088,11 +1084,11 @@ mod tests {
         let mut opts = ExecOptions::default();
         opts.governor.budgets.max_fm_atoms = Some(1);
         assert!(matches!(
-            execute_opts(&plan, &cat, &opts, &ExecStats::new()),
+            execute(&plan, &cat, &opts, &ExecStats::new()),
             Err(CoreError::BudgetExceeded { what: "fm atoms", .. })
         ));
         let stats = ExecStats::new();
-        execute_opts(&plan, &cat, &ExecOptions::default(), &stats).unwrap();
+        execute(&plan, &cat, &ExecOptions::default(), &stats).unwrap();
         assert!(stats.get(ExecCounter::FmPeakAtoms) >= 2, "peak gauge saw the interval atoms");
         assert!(stats.get(ExecCounter::FmCalls) >= 2, "one elimination per tuple");
 
@@ -1104,20 +1100,20 @@ mod tests {
         let mut opts = ExecOptions::default();
         opts.governor.budgets.max_dnf_conjunctions = Some(0);
         assert!(matches!(
-            execute_opts(&plan, &cat, &opts, &ExecStats::new()),
+            execute(&plan, &cat, &opts, &ExecStats::new()),
             Err(CoreError::BudgetExceeded { what: "dnf conjunctions", .. })
         ));
         // Each product's satisfiability check answers to the FM budget.
         let mut opts = ExecOptions::default();
         opts.governor.budgets.max_fm_atoms = Some(1);
         assert!(matches!(
-            execute_opts(&plan, &cat, &opts, &ExecStats::new()),
+            execute(&plan, &cat, &opts, &ExecStats::new()),
             Err(CoreError::BudgetExceeded { what: "fm atoms", .. })
         ));
         // With room to run, the built conjunctions and their FM checks
         // are counted.
         let stats = ExecStats::new();
-        execute_opts(&plan, &cat, &ExecOptions::default(), &stats).unwrap();
+        execute(&plan, &cat, &ExecOptions::default(), &stats).unwrap();
         assert!(stats.get(ExecCounter::DnfConjunctions) > 0, "negation expansion was counted");
         assert!(stats.get(ExecCounter::FmCalls) > 0, "each product's FM check was counted");
     }
@@ -1127,7 +1123,7 @@ mod tests {
         let cat = catalog();
         let plan = Plan::Distance { left: "Probes".into(), right: "Cities".into() };
         assert!(matches!(
-            execute(&plan, &cat),
+            run(&plan, &cat),
             Err(crate::error::CoreError::UnsafeOperation(_))
         ));
     }

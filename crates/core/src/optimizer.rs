@@ -254,10 +254,15 @@ fn rename_selection(sel: &Selection, from: &str, to: &str) -> Selection {
 mod tests {
     use super::*;
     use crate::exec::execute;
+    use crate::par::{ExecOptions, ExecStats};
     use crate::plan::CmpOp;
     use crate::relation::HRelation;
     use crate::schema::AttrDef;
     use crate::value::Value;
+
+    fn run(plan: &Plan, cat: &Catalog) -> Result<HRelation> {
+        execute(plan, cat, &ExecOptions::default(), &ExecStats::new())
+    }
 
     fn catalog() -> Catalog {
         let mut cat = Catalog::new();
@@ -292,8 +297,8 @@ mod tests {
             .collect();
         assert!(select_lines.iter().all(|&i| i > join_line), "pushed below join:\n{}", shown);
         // Semantics preserved.
-        let a = execute(&plan, &cat).unwrap();
-        let b = execute(&opt, &cat).unwrap();
+        let a = run(&plan, &cat).unwrap();
+        let b = run(&opt, &cat).unwrap();
         assert_eq!(a, b);
     }
 
@@ -310,7 +315,7 @@ mod tests {
             }
             other => panic!("expected rename at root, got {}", other),
         }
-        assert_eq!(execute(&plan, &cat).unwrap(), execute(&opt, &cat).unwrap());
+        assert_eq!(run(&plan, &cat).unwrap(), run(&opt, &cat).unwrap());
     }
 
     #[test]
@@ -325,12 +330,12 @@ mod tests {
         let plan = Plan::scan("A").union(Plan::scan("A2")).select(sel.clone());
         let opt = optimize(&plan, &cat).unwrap();
         assert!(matches!(opt, Plan::Union { .. }), "select distributed: {}", opt);
-        assert_eq!(execute(&plan, &cat).unwrap(), execute(&opt, &cat).unwrap());
+        assert_eq!(run(&plan, &cat).unwrap(), run(&opt, &cat).unwrap());
 
         let dplan = Plan::scan("A").minus(Plan::scan("A2")).select(sel);
         let dopt = optimize(&dplan, &cat).unwrap();
         assert!(matches!(dopt, Plan::Difference { .. }));
-        assert_eq!(execute(&dplan, &cat).unwrap(), execute(&dopt, &cat).unwrap());
+        assert_eq!(run(&dplan, &cat).unwrap(), run(&dopt, &cat).unwrap());
     }
 
     #[test]
@@ -351,8 +356,8 @@ mod tests {
         let opt = optimize(&plan, &cat).unwrap();
         assert!(matches!(opt, Plan::Scan(_)));
         assert_eq!(
-            execute(&Plan::scan("A"), &cat).unwrap(),
-            execute(&opt, &cat).unwrap()
+            run(&Plan::scan("A"), &cat).unwrap(),
+            run(&opt, &cat).unwrap()
         );
     }
 
@@ -369,8 +374,8 @@ mod tests {
             )
             .project(&["id"]);
         let opt = optimize(&plan, &cat).unwrap();
-        let a = execute(&plan, &cat).unwrap();
-        let b = execute(&opt, &cat).unwrap();
+        let a = run(&plan, &cat).unwrap();
+        let b = run(&opt, &cat).unwrap();
         assert_eq!(a, b);
         assert!(a.contains_point(&[Value::str("p")]).unwrap());
     }
@@ -391,8 +396,8 @@ mod tests {
             .count();
         assert_eq!(inner_projects, 2, "both sides narrowed below the join:\n{}", shown);
         // Semantics preserved (point sets; syntactic tuples may differ).
-        let a = execute(&plan, &cat).unwrap();
-        let b = execute(&opt, &cat).unwrap();
+        let a = run(&plan, &cat).unwrap();
+        let b = run(&opt, &cat).unwrap();
         assert_eq!(a.schema(), b.schema());
         for id in ["p", "q", "zz"] {
             assert_eq!(
@@ -425,6 +430,6 @@ mod tests {
             "stays above: {}",
             opt
         );
-        assert_eq!(execute(&plan, &cat).unwrap(), execute(&opt, &cat).unwrap());
+        assert_eq!(run(&plan, &cat).unwrap(), run(&opt, &cat).unwrap());
     }
 }

@@ -11,7 +11,7 @@
 //!   intervals a constraint attribute's projection denotes);
 //! * [`RStarTree`] — insertion with forced reinsertion and the R\* split,
 //!   deletion with tree condensation, and access-counted range search;
-//! * [`bulk`] — sort-tile-recursive bulk loading;
+//! * [`bulk`] — sort-tile-recursive-ordered (sorted-slab) insertion;
 //! * [`strategy`] — [`JointIndex`](strategy::JointIndex) vs
 //!   [`SeparateIndices`](strategy::SeparateIndices), the two §5.4
 //!   configurations;

@@ -154,7 +154,7 @@ mod tests {
             Rect::new([50.0, 50.0], [80.0, 60.0]),
             Rect::new([999.0, 999.0], [1000.0, 1000.0]),
         ] {
-            let (mut mem, mem_acc) = tree.search_with_stats(&q);
+            let (mut mem, mem_acc) = tree.search(&q);
             let (mut disk, disk_acc) = paged.search(&mut pool, &q).unwrap();
             mem.sort();
             disk.sort();

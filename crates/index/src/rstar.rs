@@ -13,7 +13,6 @@
 //! search* the faithful analogue of the paper's "number of disk accesses".
 
 use crate::rect::Rect;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
 /// Global observability handles for R\*-tree searches, registered once.
@@ -83,11 +82,11 @@ pub(crate) struct Node<const D: usize, T> {
 
 /// An R\*-tree mapping `D`-dimensional rectangles to payloads of type `T`.
 ///
-/// Searches are `&self` and thread-safe: the access counter is atomic, so
-/// a tree shared across the parallel executor's workers still tallies the
-/// paper's disk-access metric (the per-query counts remain exact; only the
-/// accumulation order varies, and sums are order-independent).
-#[derive(Debug)]
+/// Searches are `&self` and thread-safe: each returns its own node-access
+/// count (the paper's disk-access metric), so a tree shared across the
+/// parallel executor's workers keeps no per-tree tally; the global
+/// `index.rstar.*` counters sum order-independently.
+#[derive(Debug, Clone)]
 pub struct RStarTree<const D: usize, T> {
     params: RStarParams,
     pub(crate) nodes: Vec<Node<D, T>>,
@@ -95,21 +94,6 @@ pub struct RStarTree<const D: usize, T> {
     pub(crate) root: NodeId,
     height: usize, // leaf = level 0; root is at level height - 1
     len: usize,
-    accesses: AtomicU64,
-}
-
-impl<const D: usize, T: Clone> Clone for RStarTree<D, T> {
-    fn clone(&self) -> Self {
-        RStarTree {
-            params: self.params,
-            nodes: self.nodes.clone(),
-            free: self.free.clone(),
-            root: self.root,
-            height: self.height,
-            len: self.len,
-            accesses: AtomicU64::new(self.accesses.load(Ordering::Relaxed)),
-        }
-    }
 }
 
 impl<const D: usize, T: Clone + PartialEq> Default for RStarTree<D, T> {
@@ -129,7 +113,6 @@ impl<const D: usize, T: Clone + PartialEq> RStarTree<D, T> {
             root: NodeId(0),
             height: 1,
             len: 0,
-            accesses: AtomicU64::new(0),
         }
     }
 
@@ -153,16 +136,6 @@ impl<const D: usize, T: Clone + PartialEq> RStarTree<D, T> {
         self.params
     }
 
-    /// Total node accesses performed by searches so far.
-    pub fn accesses(&self) -> u64 {
-        self.accesses.load(Ordering::Relaxed)
-    }
-
-    /// Resets the access counter.
-    pub fn reset_accesses(&self) {
-        self.accesses.store(0, Ordering::Relaxed);
-    }
-
     /// The bounding rectangle of the whole tree.
     pub fn bounds(&self) -> Rect<D> {
         self.node(self.root).rect
@@ -178,7 +151,7 @@ impl<const D: usize, T: Clone + PartialEq> RStarTree<D, T> {
     /// Slot indices in the arena are allowed to differ — two trees built
     /// through different allocation histories still compare equal if
     /// every page a query would touch is identical. Pins the contract
-    /// that the parallel STR bulk load builds the exact tree the serial
+    /// that the parallel STR-ordered load builds the exact tree the serial
     /// load does.
     pub fn same_structure(&self, other: &RStarTree<D, T>) -> bool
     where
@@ -233,14 +206,9 @@ impl<const D: usize, T: Clone + PartialEq> RStarTree<D, T> {
     // Search
     // ------------------------------------------------------------------
 
-    /// All payloads whose rectangle intersects `query`.
-    pub fn search(&self, query: &Rect<D>) -> Vec<T> {
-        self.search_with_stats(query).0
-    }
-
-    /// Like [`Self::search`], also returning the node accesses this query
-    /// performed (the paper's disk-access metric).
-    pub fn search_with_stats(&self, query: &Rect<D>) -> (Vec<T>, u64) {
+    /// All payloads whose rectangle intersects `query`, and the node
+    /// accesses this query performed (the paper's disk-access metric).
+    pub fn search(&self, query: &Rect<D>) -> (Vec<T>, u64) {
         let mut results = Vec::new();
         let mut stack = vec![self.root];
         let mut accesses = 0u64;
@@ -263,7 +231,6 @@ impl<const D: usize, T: Clone + PartialEq> RStarTree<D, T> {
                 }
             }
         }
-        self.accesses.fetch_add(accesses, Ordering::Relaxed);
         if cqa_obs::metrics_enabled() {
             let m = search_metrics();
             m.searches.inc();
@@ -458,13 +425,12 @@ impl<const D: usize, T: Clone + PartialEq> RStarTree<D, T> {
         let reinsert_count = self.params.reinsert_count;
         let removed: Vec<(Rect<D>, T)> = match &mut self.node_mut(node).kind {
             NodeKind::Leaf(entries) => {
-                // Sort by center distance, farthest first.
-                entries.sort_by(|a, b| {
-                    node_rect
-                        .center_distance2(&a.0)
-                        .partial_cmp(&node_rect.center_distance2(&b.0))
-                        .unwrap()
-                });
+                // Sort by center distance, farthest first. An unbounded
+                // side makes the distance NaN (inf − inf), so the order is
+                // `total_cmp`'s, which equals `partial_cmp`'s on the
+                // (never −0.0) non-NaN sums of squares.
+                let dist = |e: &(Rect<D>, T)| node_rect.center_distance2(&e.0);
+                entries.sort_by(|a, b| dist(a).total_cmp(&dist(b)));
                 let keep = entries.len() - reinsert_count.min(entries.len() - 1);
                 entries.split_off(keep)
             }
@@ -793,7 +759,7 @@ fn running_unions_rev<const D: usize>(rects: &[Rect<D>]) -> Vec<Rect<D>> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     fn small_tree() -> RStarTree<2, usize> {
@@ -809,7 +775,7 @@ mod tests {
         let t = small_tree();
         assert!(t.is_empty());
         assert_eq!(t.height(), 1);
-        assert!(t.search(&Rect::new([0.0, 0.0], [100.0, 100.0])).is_empty());
+        assert!(t.search(&Rect::new([0.0, 0.0], [100.0, 100.0])).0.is_empty());
         t.check_invariants();
     }
 
@@ -826,16 +792,16 @@ mod tests {
         t.check_invariants();
 
         // Query one cell.
-        let hits = t.search(&Rect::new([0.5, 0.5], [0.6, 0.6]));
+        let (hits, _) = t.search(&Rect::new([0.5, 0.5], [0.6, 0.6]));
         assert_eq!(hits, vec![0]);
         // Query a 2x2 block of cells.
-        let mut hits = t.search(&Rect::new([0.0, 0.0], [2.5, 2.5]));
+        let (mut hits, _) = t.search(&Rect::new([0.0, 0.0], [2.5, 2.5]));
         hits.sort();
         assert_eq!(hits, vec![0, 1, 10, 11]);
         // Query everything.
-        assert_eq!(t.search(&t.bounds()).len(), 100);
+        assert_eq!(t.search(&t.bounds()).0.len(), 100);
         // Query nothing.
-        assert!(t.search(&Rect::new([500.0, 500.0], [501.0, 501.0])).is_empty());
+        assert!(t.search(&Rect::new([500.0, 500.0], [501.0, 501.0])).0.is_empty());
     }
 
     #[test]
@@ -860,7 +826,7 @@ mod tests {
             let (x, y) = (rnd(), rnd());
             let (w, h) = (rnd() / 4.0, rnd() / 4.0);
             let q = Rect::new([x, y], [x + w, y + h]);
-            let mut got = t.search(&q);
+            let (mut got, _) = t.search(&q);
             got.sort();
             let mut want: Vec<usize> =
                 data.iter().filter(|(r, _)| r.intersects(&q)).map(|(_, i)| *i).collect();
@@ -875,14 +841,16 @@ mod tests {
         for i in 0..64 {
             t.insert(unit_rect((i % 8) as f64 * 3.0, (i / 8) as f64 * 3.0), i);
         }
-        let (_, small_q) = t.search_with_stats(&Rect::new([0.0, 0.0], [0.5, 0.5]));
-        let (_, big_q) = t.search_with_stats(&t.bounds());
+        let before = cqa_obs::snapshot();
+        let (_, small_q) = t.search(&Rect::new([0.0, 0.0], [0.5, 0.5]));
+        let (_, big_q) = t.search(&t.bounds());
         assert!(small_q >= t.height() as u64, "must at least walk one path");
         assert!(big_q as usize >= t.node_count(), "full query touches every node");
         assert!(small_q < big_q);
-        assert_eq!(t.accesses(), small_q + big_q);
-        t.reset_accesses();
-        assert_eq!(t.accesses(), 0);
+        // Other tests may search concurrently, so the registry is checked
+        // for growth.
+        let moved = cqa_obs::snapshot().delta(&before).counter("index.rstar.node_accesses");
+        assert!(moved >= small_q + big_q, "registry grew by {}", moved);
     }
 
     #[test]
@@ -892,7 +860,7 @@ mod tests {
         for _ in 0..10 {
             t.insert(r, 7);
         }
-        assert_eq!(t.search(&r).len(), 10);
+        assert_eq!(t.search(&r).0.len(), 10);
         t.check_invariants();
     }
 
@@ -915,7 +883,7 @@ mod tests {
         }
         assert_eq!(t.len(), 25);
         for (i, r) in rects.iter().enumerate() {
-            let found = t.search(r).contains(&i);
+            let found = t.search(r).0.contains(&i);
             assert_eq!(found, i % 2 == 1, "entry {}", i);
         }
         // Remove everything.
@@ -934,9 +902,51 @@ mod tests {
             t.insert(Rect::new([i as f64], [i as f64 + 0.5]), i);
         }
         t.check_invariants();
-        let mut hits = t.search(&Rect::new([10.0], [12.0]));
+        let (mut hits, _) = t.search(&Rect::new([10.0], [12.0]));
         hits.sort();
         assert_eq!(hits, vec![10, 11, 12]);
+    }
+
+    /// Rects with infinite sides, as `bbox_f64` yields for coordinates
+    /// beyond f64 range: a `[-inf, +inf]` side has a NaN center.
+    pub(crate) fn unbounded_entries() -> Vec<(Rect<2>, usize)> {
+        let inf = f64::INFINITY;
+        (0..60usize)
+            .map(|i| {
+                let (x, y) = ((i % 8) as f64 * 3.0, (i / 8) as f64 * 3.0);
+                let r = match i % 5 {
+                    0 => Rect::new([-inf, y], [inf, y + 1.0]),
+                    1 => Rect::new([x, y], [inf, y + 1.0]),
+                    2 => Rect::new([x, -inf], [x + 1.0, y]),
+                    _ => unit_rect(x, y),
+                };
+                (r, i)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn unbounded_sides_insert_and_search() {
+        let entries = unbounded_entries();
+        let mut t = small_tree();
+        for (r, i) in &entries {
+            t.insert(*r, *i);
+        }
+        assert!(t.height() > 1, "forced reinsertion ran");
+        t.check_invariants();
+        let queries = [
+            Rect::new([0.0, 0.0], [4.0, 4.0]),
+            Rect::new([-1e300, 10.0], [-1e299, 12.0]),
+            Rect::new([100.0, -50.0], [200.0, -40.0]),
+            t.bounds(),
+        ];
+        for q in queries {
+            let (mut got, _) = t.search(&q);
+            got.sort();
+            let want: Vec<usize> =
+                entries.iter().filter(|(r, _)| r.intersects(&q)).map(|(_, i)| *i).collect();
+            assert_eq!(got, want, "query {:?}", q);
+        }
     }
 
     #[test]

@@ -83,16 +83,6 @@ impl JointIndex {
     pub fn new(params: RStarParams, world: (f64, f64)) -> JointIndex {
         JointIndex { tree: RStarTree::new(params), world }
     }
-
-    /// Access to the underlying tree (for bulk loading, inspection).
-    pub fn tree_mut(&mut self) -> &mut RStarTree<2, u64> {
-        &mut self.tree
-    }
-
-    /// Read access to the underlying tree.
-    pub fn tree(&self) -> &RStarTree<2, u64> {
-        &self.tree
-    }
 }
 
 impl IndexStrategy for JointIndex {
@@ -101,7 +91,7 @@ impl IndexStrategy for JointIndex {
     }
 
     fn query(&self, q: &BoxQuery) -> QueryOutcome {
-        let (mut ids, accesses) = self.tree.search_with_stats(&q.to_rect(self.world));
+        let (mut ids, accesses) = self.tree.search(&q.to_rect(self.world));
         ids.sort_unstable();
         ids.dedup();
         QueryOutcome { ids, accesses }
@@ -123,11 +113,6 @@ impl SeparateIndices {
     pub fn new(params: RStarParams) -> SeparateIndices {
         SeparateIndices { x_tree: RStarTree::new(params), y_tree: RStarTree::new(params) }
     }
-
-    /// The per-attribute trees.
-    pub fn trees(&self) -> (&RStarTree<1, u64>, &RStarTree<1, u64>) {
-        (&self.x_tree, &self.y_tree)
-    }
 }
 
 impl IndexStrategy for SeparateIndices {
@@ -139,13 +124,13 @@ impl IndexStrategy for SeparateIndices {
     fn query(&self, q: &BoxQuery) -> QueryOutcome {
         match (q.x, q.y) {
             (Some(x), None) => {
-                let (mut ids, acc) = self.x_tree.search_with_stats(&Rect::new([x.0], [x.1]));
+                let (mut ids, acc) = self.x_tree.search(&Rect::new([x.0], [x.1]));
                 ids.sort_unstable();
                 ids.dedup();
                 QueryOutcome { ids, accesses: acc }
             }
             (None, Some(y)) => {
-                let (mut ids, acc) = self.y_tree.search_with_stats(&Rect::new([y.0], [y.1]));
+                let (mut ids, acc) = self.y_tree.search(&Rect::new([y.0], [y.1]));
                 ids.sort_unstable();
                 ids.dedup();
                 QueryOutcome { ids, accesses: acc }
@@ -153,8 +138,8 @@ impl IndexStrategy for SeparateIndices {
             (Some(x), Some(y)) => {
                 // Search each index, sum the accesses, intersect the sets
                 // (§5.4.1).
-                let (xs, ax) = self.x_tree.search_with_stats(&Rect::new([x.0], [x.1]));
-                let (ys, ay) = self.y_tree.search_with_stats(&Rect::new([y.0], [y.1]));
+                let (xs, ax) = self.x_tree.search(&Rect::new([x.0], [x.1]));
+                let (ys, ay) = self.y_tree.search(&Rect::new([y.0], [y.1]));
                 let xset: HashSet<u64> = xs.into_iter().collect();
                 let mut ids: Vec<u64> = ys.into_iter().filter(|id| xset.contains(id)).collect();
                 ids.sort_unstable();
@@ -163,7 +148,7 @@ impl IndexStrategy for SeparateIndices {
             }
             (None, None) => {
                 // Unconstrained: a full scan of one index.
-                let (mut ids, acc) = self.x_tree.search_with_stats(&self.x_tree.bounds());
+                let (mut ids, acc) = self.x_tree.search(&self.x_tree.bounds());
                 ids.sort_unstable();
                 ids.dedup();
                 QueryOutcome { ids, accesses: acc }

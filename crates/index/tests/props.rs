@@ -54,7 +54,7 @@ proptest! {
                 }
                 Op::Query { x, y, w, h } => {
                     let q = rect(x, y, w, h);
-                    let mut got = tree.search(&q);
+                    let (mut got, _) = tree.search(&q);
                     got.sort_unstable();
                     let mut want: Vec<u64> = oracle
                         .iter()
@@ -86,15 +86,15 @@ proptest! {
             .enumerate()
             .map(|(i, &(x, y, w, h))| (rect(x, y, w, h), i as u64))
             .collect();
-        let bulk = cqa_index::bulk::str_load(RStarParams::with_max(6), items.clone());
+        let bulk = cqa_index::bulk::str_load(RStarParams::with_max(6), items.clone(), 0);
         bulk.check_invariants();
         let mut incr: RStarTree<2, u64> = RStarTree::new(RStarParams::with_max(6));
         for (r, id) in &items {
             incr.insert(*r, *id);
         }
         let q = Rect::new([-10000.0, -10000.0], [10000.0, 10000.0]);
-        let mut a = bulk.search(&q);
-        let mut b = incr.search(&q);
+        let (mut a, _) = bulk.search(&q);
+        let (mut b, _) = incr.search(&q);
         a.sort_unstable();
         b.sort_unstable();
         prop_assert_eq!(a, b);

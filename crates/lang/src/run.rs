@@ -6,11 +6,12 @@
 //! each statement (optimizing its plan first), registers the result under
 //! the statement's target name, and returns the final result.
 
-use crate::ast::{Script, Statement};
+use crate::ast::{QueryExpr, Script, Statement};
 use crate::lex::LangError;
 use crate::lower::lower_expr;
 use crate::parse::parse_script;
-use cqa_core::{exec, optimizer, Catalog, ExecOptions, ExecStats, HRelation};
+use cqa_core::Result as CoreResult;
+use cqa_core::{exec, optimizer, Catalog, ExecOptions, ExecStats, HRelation, Plan};
 
 /// Executes scripts against a catalog, accumulating intermediate results.
 pub struct ScriptRunner {
@@ -86,18 +87,37 @@ impl ScriptRunner {
         let Statement::Query { target, expr, line } = stmt else {
             return Err(LangError::new(1, 1, "trace expects a query statement"));
         };
-        let plan = lower_expr(expr, *line)?;
+        self.run_query(target, expr, *line, exec::execute_traced)
+    }
+
+    /// One query statement: lower, optimize (unless disabled), evaluate
+    /// through `evaluate` ([`exec::execute`] or [`exec::execute_traced`])
+    /// with the runner's options and stats, then register the result under
+    /// `target`. The `?` on `evaluate` is the all-or-nothing anchor: on any
+    /// execution error (including governor cancellation) the target is
+    /// never registered, so the catalog is exactly as if the statement had
+    /// not run.
+    fn run_query<X, F>(
+        &mut self,
+        target: &str,
+        expr: &QueryExpr,
+        line: usize,
+        evaluate: F,
+    ) -> Result<(HRelation, X), LangError>
+    where
+        F: FnOnce(&Plan, &Catalog, &ExecOptions, &ExecStats) -> CoreResult<(HRelation, X)>,
+    {
+        let plan = lower_expr(expr, line)?;
         let plan = if self.optimize {
             optimizer::optimize(&plan, &self.catalog)
-                .map_err(|e| LangError::new(*line, 1, e.to_string()))?
+                .map_err(|e| LangError::new(line, 1, e.to_string()))?
         } else {
             plan
         };
-        let (result, trace) =
-            exec::execute_traced_opts(&plan, &self.catalog, &self.exec_options, &self.stats)
-                .map_err(|e| LangError::new(*line, 1, e.to_string()))?;
-        self.catalog.register(target.clone(), result.clone());
-        Ok((result, trace))
+        let (result, extra) = evaluate(&plan, &self.catalog, &self.exec_options, &self.stats)
+            .map_err(|e| LangError::new(line, 1, e.to_string()))?;
+        self.catalog.register(target.to_owned(), result.clone());
+        Ok((result, extra))
     }
 
     /// Runs a parsed script.
@@ -106,21 +126,9 @@ impl ScriptRunner {
         for stmt in &script.statements {
             match stmt {
                 Statement::Query { target, expr, line } => {
-                    let plan = lower_expr(expr, *line)?;
-                    let plan = if self.optimize {
-                        optimizer::optimize(&plan, &self.catalog)
-                            .map_err(|e| LangError::new(*line, 1, e.to_string()))?
-                    } else {
-                        plan
-                    };
-                    // The `?` below is the all-or-nothing anchor: on any
-                    // execution error (including governor cancellation) the
-                    // target is never registered, so the catalog is exactly
-                    // as if the statement had not run.
-                    let result =
-                        exec::execute_opts(&plan, &self.catalog, &self.exec_options, &self.stats)
-                            .map_err(|e| LangError::new(*line, 1, e.to_string()))?;
-                    self.catalog.register(target.clone(), result.clone());
+                    let (result, ()) = self.run_query(target, expr, *line, |p, c, o, s| {
+                        exec::execute(p, c, o, s).map(|r| (r, ()))
+                    })?;
                     last = Some(result);
                 }
                 Statement::CreateRelation { name, schema, line } => {
@@ -329,6 +337,13 @@ spatial Wells {
         assert_eq!(out, expected);
         assert!(trace.label.starts_with("Select"), "{}", trace.label);
         assert!(traced.catalog().get("R0").is_ok(), "target registered");
+        assert_eq!(plain.exec_stats().values(), traced.exec_stats().values());
+        // Both entries share one query path, so they agree without the
+        // optimizer too.
+        let mut plain_raw = runner().without_optimizer();
+        let mut traced_raw = runner().without_optimizer();
+        assert_eq!(plain_raw.run(script).unwrap(), traced_raw.run_traced(script).unwrap().0);
+        assert_eq!(plain_raw.exec_stats().values(), traced_raw.exec_stats().values());
         // Only single query statements are traceable.
         assert!(traced.run_traced("A = select x >= 1 from Land\nB = project A on landId\n").is_err());
         assert!(traced.run_traced("drop Land\n").is_err());

@@ -114,3 +114,29 @@ fn negative_buffer_distance_is_a_typed_error() {
     assert!(err.to_string().contains("distance must be non-negative"), "{}", err);
     assert_eq!(runner.run("R = bufferjoin Wells and Cities distance 5\n").unwrap().len(), 1);
 }
+
+/// A point coordinate beyond f64 range becomes an infinite bounding-box
+/// side; a spatial relation larger than one R\*-tree node must still load
+/// (forced reinsertion meets NaN center distances) and answer
+/// whole-feature queries.
+#[test]
+fn coordinates_beyond_f64_range_load_and_query() {
+    let huge = format!("1{}", "0".repeat(400));
+    let mut text = String::from("spatial Pts {\n");
+    for i in 0..150 {
+        let x = match i % 10 {
+            0 => format!("-{}", huge),
+            5 => huge.clone(),
+            _ => i.to_string(),
+        };
+        text.push_str(&format!("  feature \"p{}\" point ({}, {});\n", i, x, i));
+    }
+    text.push_str("}\n");
+    let mut catalog = cqa_core::Catalog::new();
+    parse_cdb(&text).unwrap().load_into(&mut catalog);
+    let mut runner = ScriptRunner::new(catalog);
+    let nearest = runner.run("K = knearest Pts and Pts k 2\n").unwrap();
+    assert_eq!(nearest.len(), 300, "two neighbours per feature");
+    let near = runner.run("B = bufferjoin Pts and Pts distance 1\n").unwrap();
+    assert!(near.len() >= 150, "every feature is within 1 of itself");
+}

@@ -68,7 +68,7 @@ impl SpatialRelation {
     /// Internal indexes of features whose bounding box intersects `rect`
     /// (filter step), plus the node accesses spent.
     pub fn candidates(&self, rect: &Rect<2>) -> (Vec<usize>, u64) {
-        let (ids, acc) = self.index.search_with_stats(rect);
+        let (ids, acc) = self.index.search(rect);
         (ids.into_iter().map(|i| i as usize).collect(), acc)
     }
 

@@ -3,7 +3,7 @@
 //!
 //! Run with: `cargo run -p cqa --example gis_pipeline`
 
-use cqa::core::{exec, optimizer, Catalog};
+use cqa::core::{exec, optimizer, Catalog, ExecOptions, ExecStats};
 use cqa::core::plan::{CmpOp, Plan, Selection};
 use cqa::lang::db::{open_catalog, save_catalog};
 use cqa::lang::schema_def::parse_cdb;
@@ -32,7 +32,8 @@ spatial Parcels {
     let plan = Plan::spatial_scan("Parcels")
         .select(Selection::all().cmp_int("y", CmpOp::Ge, 10).cmp_int("y", CmpOp::Le, 28));
     let plan = optimizer::optimize(&plan, &catalog).unwrap();
-    let (band, trace) = exec::execute_traced(&plan, &catalog).unwrap();
+    let (opts, stats) = (ExecOptions::default(), ExecStats::new());
+    let (band, trace) = exec::execute_traced(&plan, &catalog, &opts, &stats).unwrap();
     println!("Parcel pieces intersecting the survey band 10 <= y <= 28:");
     print!("{}", trace);
     print!("{}", band);
@@ -53,7 +54,7 @@ spatial Parcels {
     let dir = std::env::temp_dir().join(format!("cqa_gis_{}", std::process::id()));
     save_catalog(&catalog, &dir).unwrap();
     let reopened = open_catalog(&dir).unwrap();
-    let band2 = exec::execute(&plan, &reopened).unwrap();
+    let band2 = exec::execute(&plan, &reopened, &opts, &stats).unwrap();
     assert_eq!(band, band2);
     println!("\nsaved to {:?}, reopened, and re-queried: identical results", dir);
     std::fs::remove_dir_all(&dir).unwrap();

@@ -4,7 +4,7 @@
 //! Run with: `cargo run -p cqa --example quickstart`
 
 use cqa::core::plan::{CmpOp, Plan, Selection};
-use cqa::core::{exec, AttrDef, Catalog, HRelation, Schema, Value};
+use cqa::core::{exec, AttrDef, Catalog, ExecOptions, ExecStats, HRelation, Schema, Value};
 use cqa::lang::ScriptRunner;
 
 fn main() {
@@ -41,7 +41,8 @@ fn main() {
     let plan = Plan::scan("Forecast")
         .select(Selection::all().cmp_int("temp", CmpOp::Eq, 12))
         .project(&["city"]);
-    let answer = exec::execute(&plan, &catalog).unwrap();
+    let (opts, stats) = (ExecOptions::default(), ExecStats::new());
+    let answer = exec::execute(&plan, &catalog, &opts, &stats).unwrap();
     println!("Cities whose range admits 12°:");
     println!("{}", answer);
     assert!(answer.contains_point(&[Value::str("Mystic")]).unwrap());

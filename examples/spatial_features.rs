@@ -9,7 +9,7 @@
 
 use cqa::constraints::Var;
 use cqa::core::plan::Plan;
-use cqa::core::{exec, Catalog};
+use cqa::core::{exec, Catalog, ExecOptions, ExecStats};
 use cqa::num::Rat;
 use cqa::spatial::convert::{conjunction_to_geometry, project_extent};
 use cqa::spatial::decompose::geometry_to_dnf;
@@ -47,19 +47,20 @@ fn main() {
         right: "Towns".into(),
         distance: Rat::from_int(3),
     };
-    let near = exec::execute(&plan, &catalog).unwrap();
+    let (opts, stats) = (ExecOptions::default(), ExecStats::new());
+    let near = exec::execute(&plan, &catalog, &opts, &stats).unwrap();
     println!("Buffer-Join(Roads, Towns, 3) — a safe whole-feature operator:");
     print!("{}", near);
 
     // --- k-Nearest: the two towns nearest each road. --------------------
     let plan = Plan::KNearest { left: "Roads".into(), right: "Towns".into(), k: 2 };
-    let nearest = exec::execute(&plan, &catalog).unwrap();
+    let nearest = exec::execute(&plan, &catalog, &opts, &stats).unwrap();
     println!("k-Nearest(Roads, Towns, k=2):");
     print!("{}", nearest);
 
     // --- The raw distance operator is *unsafe* (§4). ---------------------
     let plan = Plan::Distance { left: "Roads".into(), right: "Towns".into() };
-    let err = exec::execute(&plan, &catalog).unwrap_err();
+    let err = exec::execute(&plan, &catalog, &opts, &stats).unwrap_err();
     println!("distance(Roads, Towns) is rejected by the safety checker:\n  {}\n", err);
 
     // --- §6: vector -> constraint -> vector round trip. ------------------

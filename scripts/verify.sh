@@ -12,6 +12,11 @@ RUSTFLAGS="-D warnings" cargo build --release
 echo "== tier-1: tests =="
 cargo test -q
 
+echo "== frozen benchmark: cqabench's own tests (oracles, count determinism) =="
+# cqabench is a separate crate that uses the public API; building and
+# testing it here catches a rename of any name it calls.
+cargo test -q --release --manifest-path cqabench/Cargo.toml
+
 echo "== parallel determinism gate: quick grid, twice =="
 out1=$(cargo run -q --release -p cqa-bench --bin parallel_speedup -- --quick --out /tmp/verify_parallel_1.json)
 echo "$out1"

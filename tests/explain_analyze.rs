@@ -55,10 +55,10 @@ fn traced_equals_untraced_with_identical_plan_choice() {
     for threads in [1usize, 2, 8] {
         let opts = ExecOptions::with_threads(threads);
         let untraced_stats = ExecStats::new();
-        let plain = exec::execute_opts(&plan, &cat, &opts, &untraced_stats).unwrap();
+        let plain = exec::execute(&plan, &cat, &opts, &untraced_stats).unwrap();
         let traced_stats = ExecStats::new();
         let (traced, trace) =
-            exec::execute_traced_opts(&plan, &cat, &opts, &traced_stats).unwrap();
+            exec::execute_traced(&plan, &cat, &opts, &traced_stats).unwrap();
         assert_eq!(plain, traced, "threads={}", threads);
         // Same physical choice: both probed the index, with the same cost.
         assert!(untraced_stats.get(ExecCounter::IndexProbes) > 0, "untraced used the index");
@@ -74,7 +74,7 @@ fn trace_json_round_trips_with_schema() {
     let cat = seeded_catalog(true);
     let plan = Plan::scan("R").select(bounded_selection()).project(&["id"]);
     let (_, trace) =
-        exec::execute_traced_opts(&plan, &cat, &ExecOptions::default(), &ExecStats::new())
+        exec::execute_traced(&plan, &cat, &ExecOptions::default(), &ExecStats::new())
             .unwrap();
     let rendered = trace.to_json().render();
     let parsed = cqa::obs::json::parse(&rendered).expect("trace JSON parses");
@@ -124,7 +124,7 @@ fn explain_analyze_reports_index_choice_and_headroom() {
     let plan = Plan::scan("R").select(bounded_selection());
     let mut opts = ExecOptions::default();
     opts.governor.budgets.max_output_tuples = Some(100_000);
-    let (_, trace) = exec::execute_traced_opts(&plan, &cat, &opts, &ExecStats::new()).unwrap();
+    let (_, trace) = exec::execute_traced(&plan, &cat, &opts, &ExecStats::new()).unwrap();
     let text = exec::render_explain_analyze(&trace, &opts);
     assert!(text.contains("index [x, y]"), "{}", text);
     assert!(text.contains("index node(s) accessed"), "{}", text);

@@ -38,9 +38,11 @@ fn closure_principle_pointwise() {
     catalog.register("R", r.clone());
     catalog.register("S", s.clone());
 
-    let joined = exec::execute(&Plan::scan("R").join(Plan::scan("S")), &catalog).unwrap();
-    let diffed = exec::execute(&Plan::scan("R").minus(Plan::scan("S")), &catalog).unwrap();
-    let unioned = exec::execute(&Plan::scan("R").union(Plan::scan("S")), &catalog).unwrap();
+    let (opts, stats) = (ExecOptions::default(), ExecStats::new());
+    let run = |plan: Plan| exec::execute(&plan, &catalog, &opts, &stats).unwrap();
+    let joined = run(Plan::scan("R").join(Plan::scan("S")));
+    let diffed = run(Plan::scan("R").minus(Plan::scan("S")));
+    let unioned = run(Plan::scan("R").union(Plan::scan("S")));
 
     for xi in -1..6 {
         for yi in -1..6 {
@@ -91,7 +93,8 @@ fn vector_to_constraint_to_query() {
     catalog.register("Lakes", rel);
     // Query: the slice of the lake with y ≥ 5 — only the upper arm.
     let plan = Plan::scan("Lakes").select(Selection::all().cmp_int("y", CmpOp::Ge, 5));
-    let out = exec::execute(&plan, &catalog).unwrap();
+    let (opts, stats) = (ExecOptions::default(), ExecStats::new());
+    let out = exec::execute(&plan, &catalog, &opts, &stats).unwrap();
     assert!(out
         .contains_point(&[Value::str("lake"), Value::int(2), Value::int(6)])
         .unwrap());
@@ -131,7 +134,7 @@ fn index_filter_refine_pipeline() {
     }
     // Query box [20, 40] × [10, 30]: filter by index, refine exactly.
     let query = Rect::new([20.0, 10.0], [40.0, 30.0]);
-    let candidates = tree.search(&query);
+    let (candidates, _) = tree.search(&query);
     let sel = Selection::all()
         .cmp_int("x", CmpOp::Ge, 20)
         .cmp_int("x", CmpOp::Le, 40)
@@ -186,7 +189,7 @@ fn storage_backed_index_roundtrip() {
     pool.reset_stats();
     let q = Rect::new([10.0, 10.0], [30.0, 30.0]);
     let (mut from_disk, accesses) = paged.search(&mut pool, &q).unwrap();
-    let mut from_mem = tree.search(&q);
+    let (mut from_mem, _) = tree.search(&q);
     from_disk.sort();
     from_mem.sort();
     assert_eq!(from_disk, from_mem);
@@ -230,8 +233,9 @@ fn whole_feature_into_algebra() {
     .select(Selection::all().str_eq("id1", "w1"))
     .project(&["id2"]);
     let optimized = optimizer::optimize(&plan, &catalog).unwrap();
-    let a = exec::execute(&plan, &catalog).unwrap();
-    let b = exec::execute(&optimized, &catalog).unwrap();
+    let (opts, stats) = (ExecOptions::default(), ExecStats::new());
+    let a = exec::execute(&plan, &catalog, &opts, &stats).unwrap();
+    let b = exec::execute(&optimized, &catalog, &opts, &stats).unwrap();
     assert_eq!(a, b);
     assert_eq!(a.len(), 1);
     assert!(a.contains_point(&[Value::str("f1")]).unwrap());

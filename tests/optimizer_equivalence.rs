@@ -5,7 +5,9 @@
 //! semantically, on a grid of sample points.)
 
 use cqa::core::plan::{CmpOp, Plan, Selection};
-use cqa::core::{exec, optimizer, AttrDef, Catalog, HRelation, Schema, Tuple, Value};
+use cqa::core::{
+    exec, optimizer, AttrDef, Catalog, ExecOptions, ExecStats, HRelation, Schema, Tuple, Value,
+};
 use cqa::num::Rat;
 use proptest::prelude::*;
 
@@ -126,12 +128,13 @@ proptest! {
         catalog.register("A", base_relation(&a));
         catalog.register("B", base_relation(&b));
         let plan = build_plan(&steps);
-        let original = match exec::execute(&plan, &catalog) {
+        let (opts, stats) = (ExecOptions::default(), ExecStats::new());
+        let original = match exec::execute(&plan, &catalog, &opts, &stats) {
             Ok(rel) => rel,
             Err(_) => return Ok(()), // ill-typed composition; nothing to compare
         };
         let optimized_plan = optimizer::optimize(&plan, &catalog).unwrap();
-        let optimized = exec::execute(&optimized_plan, &catalog).unwrap();
+        let optimized = exec::execute(&optimized_plan, &catalog, &opts, &stats).unwrap();
         prop_assert_eq!(original.schema(), optimized.schema(), "plan:\n{}", plan);
 
         // Semantic comparison on a sample grid over the output schema.

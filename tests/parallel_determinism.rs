@@ -224,7 +224,7 @@ fn trace_identity_invariant_across_thread_counts() {
 
     let opts1 = ExecOptions::with_threads(1);
     let (base_rel, base_trace) =
-        cqa::core::exec::execute_traced_opts(&plan, &catalog, &opts1, &ExecStats::new()).unwrap();
+        cqa::core::exec::execute_traced(&plan, &catalog, &opts1, &ExecStats::new()).unwrap();
     // Bucketing really kicked in: far fewer pairs than the full 250 000.
     assert!(base_trace.children[0].pairs_enumerated > 0);
     assert!(
@@ -236,7 +236,7 @@ fn trace_identity_invariant_across_thread_counts() {
     for threads in [2usize, 8] {
         let opts = ExecOptions::with_threads(threads);
         let (rel, trace) =
-            cqa::core::exec::execute_traced_opts(&plan, &catalog, &opts, &ExecStats::new())
+            cqa::core::exec::execute_traced(&plan, &catalog, &opts, &ExecStats::new())
                 .unwrap();
         assert_eq!(base_rel, rel, "relation diverged at threads={}", threads);
         assert_eq!(base_id, trace.identity(), "trace diverged at threads={}", threads);

@@ -59,9 +59,9 @@ fn span_sequence_identical_across_thread_counts() {
         cqa::obs::reset_spans();
         let opts = ExecOptions::with_threads(threads);
         let (r1, t1) =
-            exec::execute_traced_opts(&join_plan, &catalog, &opts, &ExecStats::new()).unwrap();
+            exec::execute_traced(&join_plan, &catalog, &opts, &ExecStats::new()).unwrap();
         let (r2, t2) =
-            exec::execute_traced_opts(&select_plan, &catalog, &opts, &ExecStats::new()).unwrap();
+            exec::execute_traced(&select_plan, &catalog, &opts, &ExecStats::new()).unwrap();
         let spans = cqa::obs::drain_spans();
         assert!(spans.spans.iter().any(|s| s.kind == "fm.eliminate"), "projection spans");
         assert!(spans.spans.iter().any(|s| s.kind == "exec.node"), "plan-node spans");

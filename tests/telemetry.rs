@@ -106,7 +106,7 @@ fn telemetry_surfaces_agree_end_to_end() {
     let mut opts = ExecOptions::with_threads(2);
     opts.governor.timeout = Some(std::time::Duration::ZERO);
     let plan = Plan::scan("P").join(Plan::scan("P").rename("id", "id2"));
-    let err = exec::execute_traced_opts(&plan, runner.catalog(), &opts, &ExecStats::new())
+    let err = exec::execute_traced(&plan, runner.catalog(), &opts, &ExecStats::new())
         .expect_err("zero deadline aborts");
     assert!(err.is_governor_abort());
     let dumps = cqa::obs::flight::list_dumps(&tmp);
