@@ -3,27 +3,44 @@
 //!
 //! The paper's multi-step processing idea — approximate geometry first,
 //! exact geometry only for survivors — applied to constraint tuples.
-//! [`Conjunction::quick_box`] derives, from the *single-variable* atoms
-//! only, an axis-aligned box that **encloses** the conjunction's point
-//! set. Deriving it is O(atoms) with one small rational division per
-//! bound — orders of magnitude cheaper than Fourier–Motzkin — and two
+//! [`Conjunction::quick_box`] derives an axis-aligned box that
+//! **encloses** the conjunction's point set in two steps:
+//!
+//! 1. each *single-variable* atom bounds its variable directly, with one
+//!    small rational division per bound;
+//! 2. two rounds of HC4-style interval propagation ("revise", Benhamou
+//!    et al. 1999) run over the *multi-variable* atoms in `f64`: for
+//!    `Σ cᵢ·xᵢ + k rel 0`, each variable `xⱼ` is bounded by
+//!    `(−k − rest)/cⱼ`, where `rest` is the interval sum of the other
+//!    terms over the current box. An `Eq` atom bounds both sides of
+//!    `xⱼ`, a `Le`/`Lt` atom one side.
+//!
+//! So the segment `t ∈ [i, i+1]; x = t; 4y − d·t = c` gets a bounded box
+//! in `x` and `y`, not just in `t`. Deriving the box is O(atoms) `f64`
+//! work — orders of magnitude cheaper than Fourier–Motzkin — and two
 //! boxes that do not overlap prove the two conjunctions jointly
-//! unsatisfiable, so the exact check can be skipped.
+//! unsatisfiable, so the exact check can be skipped. A box system has no
+//! multi-variable atoms and pays for step 1 only.
 //!
 //! Soundness is one-directional by design:
 //!
 //! * every bound is widened **outward** by a relative epsilon larger
 //!   than any `Rat → f64` rounding error, so the float box always
 //!   contains the exact rational box;
+//! * a propagated bound is further widened by
+//!   `WIDEN_EPS·(1 + Σ|cᵢ·xᵢ| + |k|)/|cⱼ|`, which dominates the rounding
+//!   of the `f64` sum and the cancellation between its terms;
 //! * strict bounds are treated as closed (again: outward);
-//! * multi-variable atoms are ignored (they can only shrink the exact
-//!   set, never grow it);
+//! * a multi-variable atom is skipped (it can only shrink the exact set,
+//!   never grow it) when a coefficient's `f64` image is zero, subnormal
+//!   or non-finite, when its constant's image is non-finite, or when it
+//!   names a variable outside the box;
 //! * a bound whose `f64` image is non-finite is discarded (unbounded).
 //!
 //! Hence `quick_disjoint(a, b) == true` **implies** `a ∧ b` is
 //! unsatisfiable, while `false` says nothing — exactly the contract a
 //! filter needs. The property suite checks the implication against the
-//! exact solver.
+//! exact solver, and the box against the exact per-variable bounds.
 //!
 //! For a survivor that is itself a box system (every atom on one
 //! variable), the exact check that follows is cheap too:
@@ -31,7 +48,7 @@
 //! single-variable bounds in exact rationals, with strictness, instead
 //! of running Fourier–Motzkin.
 
-use crate::{Conjunction, Rel, Var};
+use crate::{Atom, Conjunction, Rel, Var};
 
 /// Outward widening factor; `Rat::to_f64` is within a few ulps
 /// (relative error ≤ ~2⁻⁵⁰), so a relative 1e-9 margin dominates it.
@@ -44,6 +61,9 @@ fn widen_down(x: f64) -> f64 {
 fn widen_up(x: f64) -> f64 {
     x + WIDEN_EPS * (1.0 + x.abs())
 }
+
+/// Rounds of propagation over the multi-variable atoms.
+const PROPAGATION_ROUNDS: usize = 2;
 
 /// A conservative per-variable `f64` bounding box for a conjunction's
 /// point set over variables `Var(0) .. Var(arity)`.
@@ -94,20 +114,138 @@ impl QuickBox {
     }
 }
 
+/// A conjunction's multi-variable atoms in `f64`: row `r` is
+/// `Σ cᵢ·x_{dᵢ} + k rel 0` over its slice of `terms`.
+#[derive(Default)]
+struct Rows {
+    /// `(dimension, coefficient)` of every row, row after row.
+    terms: Vec<(usize, f64)>,
+    /// Per row: end of its terms, `k`, and whether `rel` is `Eq`.
+    rows: Vec<(usize, f64, bool)>,
+}
+
+impl Rows {
+    /// Adds `atom` unless its constant's `f64` image is non-finite, a
+    /// coefficient's is zero, subnormal or non-finite, or it names a
+    /// variable `≥ arity`; skipping an atom only over-approximates.
+    fn push(&mut self, atom: &Atom, arity: usize) {
+        let start = self.terms.len();
+        let k = atom.expr().constant_term().to_f64();
+        let usable = k.is_finite()
+            && atom.expr().terms().all(|(Var(v), c)| {
+                let c = c.to_f64();
+                self.terms.push((v as usize, c));
+                (v as usize) < arity && c.is_normal()
+            });
+        if usable {
+            self.rows.push((self.terms.len(), k, atom.rel() == Rel::Eq));
+        } else {
+            self.terms.truncate(start);
+        }
+    }
+
+    /// Runs [`PROPAGATION_ROUNDS`] passes of [`revise`] over every row.
+    fn propagate(&self, bx: &mut QuickBox) {
+        for _ in 0..PROPAGATION_ROUNDS {
+            let mut start = 0;
+            for &(end, k, eq) in &self.rows {
+                revise(bx, &self.terms[start..end], k, eq);
+                start = end;
+            }
+        }
+    }
+}
+
+/// The interval of `c·x` for `x` in dimension `d` of `bx`.
+fn term(bx: &QuickBox, d: usize, c: f64) -> (f64, f64) {
+    if c > 0.0 {
+        (c * bx.lo[d], c * bx.hi[d])
+    } else {
+        (c * bx.hi[d], c * bx.lo[d])
+    }
+}
+
+/// The sum of all terms but one on one side, given the sum of the finite
+/// sides, the count of the non-finite ones and the excluded term's side;
+/// `infinity` when the rest is unbounded on this side.
+fn rest(sum: f64, infinite: usize, own: f64, infinity: f64) -> f64 {
+    match (infinite, own.is_finite()) {
+        (0, _) => sum - own,
+        (1, false) => sum,
+        _ => infinity,
+    }
+}
+
+/// One HC4 "revise" of the row `Σ cᵢ·xᵢ + k rel 0` against `bx`: each
+/// `xⱼ` is tightened to `(−k − rest)/cⱼ`, `rest` being the interval sum
+/// of the other terms, widened by `WIDEN_EPS·(1 + Σ|cᵢ·xᵢ| + |k|)/|cⱼ|`
+/// and then by [`widen_up`]/[`widen_down`].
+fn revise(bx: &mut QuickBox, terms: &[(usize, f64)], k: f64, eq: bool) {
+    // Non-finite sides (unbounded, or overflowed) are counted rather than
+    // summed, so each variable's `rest` is the total minus its own term.
+    let (mut lo_sum, mut hi_sum, mut lo_inf, mut hi_inf, mut mag) = (0.0, 0.0, 0, 0, k.abs());
+    for &(d, c) in terms {
+        let (lo, hi) = term(bx, d, c);
+        if lo.is_finite() {
+            lo_sum += lo;
+            mag += lo.abs();
+        } else {
+            lo_inf += 1;
+        }
+        if hi.is_finite() {
+            hi_sum += hi;
+            mag += hi.abs();
+        } else {
+            hi_inf += 1;
+        }
+    }
+    // Each variable occurs once per row, so its own term is unchanged by
+    // the tightening of the variables before it.
+    for &(d, c) in terms {
+        let (lo, hi) = term(bx, d, c);
+        let rest_lo = rest(lo_sum, lo_inf, lo, f64::NEG_INFINITY);
+        let rest_hi = rest(hi_sum, hi_inf, hi, f64::INFINITY);
+        let slack = WIDEN_EPS * (1.0 + mag) / c.abs();
+        let mut tighten = |bound: f64, upper: bool| {
+            if !bound.is_finite() {
+                return;
+            }
+            if upper {
+                bx.hi[d] = bx.hi[d].min(widen_up(bound + slack));
+            } else {
+                bx.lo[d] = bx.lo[d].max(widen_down(bound - slack));
+            }
+        };
+        // `cⱼ·xⱼ ≤ −k − rest_lo`; an equality also gives `≥ −k − rest_hi`.
+        tighten((-k - rest_lo) / c, c > 0.0);
+        if eq {
+            tighten((-k - rest_hi) / c, c < 0.0);
+        }
+    }
+}
+
 impl Conjunction {
     /// Computes the conservative [`QuickBox`] over `Var(0) .. Var(arity)`.
     ///
-    /// Cost: one pass over the atoms; one small rational division per
-    /// single-variable atom. No Fourier–Motzkin.
+    /// Cost: one pass over the atoms, with one small rational division
+    /// per single-variable atom; then, when there are multi-variable
+    /// atoms, [`PROPAGATION_ROUNDS`] passes of `f64` interval propagation
+    /// over them. No Fourier–Motzkin.
     pub fn quick_box(&self, arity: usize) -> QuickBox {
         let mut bx = QuickBox::full(arity);
+        let mut rows = Rows::default();
         for atom in self.atoms() {
             if atom.is_trivially_false() {
                 return QuickBox::empty(arity);
             }
             let expr = atom.expr();
-            if expr.arity() != 1 {
-                continue; // multi-variable: ignoring it only over-approximates
+            match expr.arity() {
+                0 => continue, // ground and not false: true
+                1 => {}
+                _ => {
+                    rows.push(atom, arity);
+                    continue;
+                }
             }
             let (var, coeff) = expr.terms().next().expect("arity-1 expression has a term");
             let Var(v) = var;
@@ -137,6 +275,9 @@ impl Conjunction {
                 }
             }
         }
+        if !rows.rows.is_empty() && !bx.is_known_empty() {
+            rows.propagate(&mut bx);
+        }
         bx
     }
 
@@ -151,8 +292,8 @@ impl Conjunction {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Atom, LinExpr};
-    use cqa_num::Rat;
+    use crate::LinExpr;
+    use cqa_num::{BigInt, Rat};
 
     const X: Var = Var(0);
     const Y: Var = Var(1);
@@ -211,6 +352,73 @@ mod tests {
         let bx = c.quick_box(2);
         assert_eq!(bx.dim(0), (f64::NEG_INFINITY, f64::INFINITY));
         assert_eq!(bx.dim(1), (f64::NEG_INFINITY, f64::INFINITY));
+    }
+
+    #[test]
+    fn inequalities_propagate_one_side() {
+        // x + y ≤ 0 and x ≥ 1 give y ≤ -1, and nothing below.
+        let mut c = Conjunction::from_atoms([Atom::le(
+            LinExpr::from_terms([(X, Rat::one()), (Y, Rat::one())], Rat::zero()),
+            LinExpr::zero(),
+        )]);
+        c.add(Atom::ge(LinExpr::var(X), LinExpr::constant_int(1)));
+        let (lo, hi) = c.quick_box(2).dim(1);
+        assert_eq!(lo, f64::NEG_INFINITY);
+        assert!((-1.0..-1.0 + 1e-6).contains(&hi));
+    }
+
+    /// A hurricane segment `t ∈ [0, 1]; x = t; 4y − 3t = 8` over
+    /// `(t, x, y)`, and parcels over `(x, y)` at the same positions.
+    fn segment() -> Conjunction {
+        let t = Var(0);
+        let mut c = range_conj(t, 0, 1);
+        c.add(Atom::eq(LinExpr::var(X_OF_T), LinExpr::var(t)));
+        c.add(Atom::eq(
+            LinExpr::from_terms([(Y_OF_T, Rat::from_int(4)), (t, Rat::from_int(-3))], Rat::zero()),
+            LinExpr::constant_int(8),
+        ));
+        c
+    }
+    const X_OF_T: Var = Var(1);
+    const Y_OF_T: Var = Var(2);
+
+    fn parcel(x: (i64, i64), y: (i64, i64)) -> Conjunction {
+        range_conj(X_OF_T, x.0, x.1).and(&range_conj(Y_OF_T, y.0, y.1))
+    }
+
+    #[test]
+    fn hurricane_segment_misses_parcel() {
+        let seg = segment();
+        // x ∈ [0, 1] and y ∈ [2, 2.75] are derived from t's range.
+        let bx = seg.quick_box(3);
+        let (xlo, xhi) = bx.dim(1);
+        let (ylo, yhi) = bx.dim(2);
+        assert!((-1e-6..=0.0).contains(&xlo) && (1.0..1.0 + 1e-6).contains(&xhi));
+        assert!((2.0 - 1e-6..=2.0).contains(&ylo) && (2.75..2.75 + 1e-6).contains(&yhi));
+        // East of the segment, and north of it.
+        assert!(seg.quick_disjoint(&parcel((6, 10), (0, 4)), 3));
+        assert!(seg.quick_disjoint(&parcel((0, 4), (3, 5)), 3));
+        assert!(!seg.and(&parcel((0, 4), (3, 5))).is_satisfiable());
+        // A parcel the segment crosses survives the filter.
+        assert!(!seg.quick_disjoint(&parcel((0, 4), (0, 4)), 3));
+    }
+
+    #[test]
+    fn unusable_coefficients_skip_the_atom() {
+        // 2^-1100·t + y = 0: the coefficient's f64 image is 0, so the atom
+        // bounds nothing (y is in fact within ±2^-1100, but dropping an
+        // atom only over-approximates).
+        let tiny = Rat::new(BigInt::one(), BigInt::one().shl(1100));
+        let mut c = range_conj(X, 0, 1);
+        c.add(Atom::eq(
+            LinExpr::from_terms([(X, tiny), (Y, Rat::one())], Rat::zero()),
+            LinExpr::zero(),
+        ));
+        assert_eq!(c.quick_box(2).dim(1), (f64::NEG_INFINITY, f64::INFINITY));
+        // A variable beyond the box's arity skips the atom too.
+        let mut c = range_conj(X, 0, 1);
+        c.add(Atom::eq(LinExpr::var(Y), LinExpr::var(X)));
+        assert_eq!(c.quick_box(1).dim(0), range_conj(X, 0, 1).quick_box(1).dim(0));
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! results of syntactic manipulation against pointwise evaluation.
 
 use cqa_constraints::{Assignment, Atom, Budget, Conjunction, Dnf, LinExpr, Var};
-use cqa_num::Rat;
+use cqa_num::{BigInt, Rat};
 use proptest::prelude::*;
 
 const X: Var = Var(0);
@@ -230,6 +230,73 @@ proptest! {
                 prop_assert!(c.bounds(v).contains(p.get(v).unwrap()),
                     "bounds({}) of {} missed witness", v, c);
             }
+        }
+    }
+}
+
+/// A coefficient or constant that stresses `quick_box`'s `f64`
+/// propagation, by `kind`: small, integral or not; near-cancelling (`10^k` next to
+/// `10^k + 1`, one `k` per system); huge, in and beyond the `f64` range;
+/// or tiny, with an `f64` image of 0.
+fn stress_rat(k: u32, (kind, small, neg): (u8, i64, bool)) -> Rat {
+    let r = match kind {
+        0..=1 => Rat::from_int(small),
+        2..=3 => Rat::from_pair(small, 7),
+        4..=6 => Rat::from_int(10i64.pow(k) + small.rem_euclid(2)),
+        7 => Rat::from(BigInt::from(10).pow(200)),
+        8 => Rat::from(BigInt::one().shl(1100)),
+        _ => Rat::new(BigInt::one(), BigInt::one().shl(1100)),
+    };
+    if neg {
+        -r
+    } else {
+        r
+    }
+}
+
+/// Strategy: up to five atoms, each over a nonempty subset of x, y, z,
+/// with [`stress_rat`] coefficients and constant sharing one `k`.
+fn arb_stress_conj() -> impl Strategy<Value = Conjunction> {
+    let rat = (0u8..10, -3i64..=3, any::<bool>());
+    let atom = (prop::collection::vec(rat, 4), 1u8..8, 0u8..3);
+    (1u32..=15, prop::collection::vec(atom, 1..=5)).prop_map(|(k, atoms)| {
+        Conjunction::from_atoms(atoms.into_iter().map(|(rats, mask, rel)| {
+            let terms = [X, Y, Z]
+                .into_iter()
+                .zip(&rats)
+                .enumerate()
+                .filter(|(i, _)| mask >> i & 1 == 1)
+                .map(|(_, (v, &r))| (v, stress_rat(k, r)));
+            let e = LinExpr::from_terms(terms, stress_rat(k, rats[3]));
+            match rel {
+                0 => Atom::new(e, cqa_constraints::Rel::Le),
+                1 => Atom::new(e, cqa_constraints::Rel::Lt),
+                _ => Atom::new(e, cqa_constraints::Rel::Eq),
+            }
+        }))
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The enclosure oracle: each dimension of the propagated box contains
+    /// the exact Fourier–Motzkin bounds of its variable. The exact bound's
+    /// `to_f64` is within a few ulps, which the box's 1e-9 widening dwarfs;
+    /// an exact side beyond the `f64` range must stay unbounded.
+    #[test]
+    fn quick_box_encloses_exact_bounds(c in arb_stress_conj()) {
+        let bx = c.quick_box(3);
+        for (d, v) in [(0usize, X), (1, Y), (2, Z)] {
+            let exact = c.bounds(v);
+            if exact.is_empty() {
+                continue;
+            }
+            let (lo, hi) = bx.dim(d);
+            let want_lo = exact.lo().map_or(f64::NEG_INFINITY, |b| b.value.to_f64());
+            let want_hi = exact.hi().map_or(f64::INFINITY, |b| b.value.to_f64());
+            prop_assert!(lo <= want_lo && want_hi <= hi,
+                "dim {} box [{}, {}] misses exact [{}, {}] of {}", d, lo, hi, want_lo, want_hi, c);
         }
     }
 }

@@ -381,6 +381,11 @@ impl BigInt {
         BigInt::from_parts(self.sign, shl_mag(&self.mag, bits))
     }
 
+    /// `self / 2^bits`, truncated toward zero.
+    pub(crate) fn shr(&self, bits: u32) -> BigInt {
+        BigInt::from_parts(self.sign, shr_mag(&self.mag, bits))
+    }
+
     /// `self` raised to a small non-negative power.
     pub fn pow(&self, mut exp: u32) -> BigInt {
         let mut base = self.clone();

@@ -174,19 +174,33 @@ impl Rat {
         }
     }
 
-    /// Best-effort `f64` approximation.
+    /// Best-effort `f64` approximation, finite and nonzero whenever the
+    /// value is within the `f64` range.
+    ///
+    /// Each component keeps only its top 64 bits — shifted separately, so
+    /// a short component never truncates to zero next to a long one — and
+    /// the exponent difference is applied last. Two truncations (≤ 2⁻⁶³
+    /// each) and three roundings (≤ 2⁻⁵³ each) keep the relative error
+    /// below 2⁻⁵⁰ outside the subnormal range.
     pub fn to_f64(&self) -> f64 {
-        // Scale both components down together so huge magnitudes still give
-        // a finite quotient.
-        let nb = self.num.bits();
-        let db = self.den.bits();
-        if nb <= 900 && db <= 900 {
-            return self.num.to_f64() / self.den.to_f64();
+        fn top64(b: &BigInt) -> (f64, i64) {
+            match b.bits().saturating_sub(64) {
+                0 => (b.to_f64(), 0),
+                shift => (b.shr(shift as u32).to_f64(), shift as i64),
+            }
         }
-        let shift = (nb.max(db) - 512) as u32;
-        let n = (&self.num / &BigInt::one().shl(shift)).to_f64();
-        let d = (&self.den / &BigInt::one().shl(shift)).to_f64();
-        n / d
+        let (n, ne) = top64(&self.num);
+        let (d, de) = top64(&self.den);
+        // |n / d| lies within 2^±64, so an exponent beyond ±1200 already
+        // saturates to infinity or zero.
+        let mut e = (ne - de).clamp(-1200, 1200);
+        let mut q = n / d;
+        while e != 0 {
+            let step = e.clamp(-1000, 1000);
+            q *= f64::from_bits(((1023 + step) as u64) << 52); // 2^step, exact
+            e -= step;
+        }
+        q
     }
 
     /// Renders as a decimal string with at most `max_frac` fraction
@@ -487,6 +501,19 @@ mod tests {
         // Huge magnitudes still give a usable approximation.
         let huge = Rat::new(BigInt::from(3).pow(2000), BigInt::from(3).pow(2000) * BigInt::from(2));
         assert!((huge.to_f64() - 0.5).abs() < 1e-9);
+    }
+
+    #[test]
+    fn to_f64_beyond_900_bits() {
+        let p901 = BigInt::one().shl(901);
+        let f901 = 2f64.powi(901);
+        assert_eq!(Rat::new(p901.clone(), BigInt::from(3)).to_f64(), f901 / 3.0);
+        assert_eq!(Rat::from(p901.clone()).to_f64(), f901);
+        assert_eq!(Rat::new(BigInt::from(3), p901.clone()).to_f64(), 3.0 / f901);
+        assert_eq!(Rat::new(-p901.clone(), BigInt::from(3)).to_f64(), -f901 / 3.0);
+        // Truly out of range: saturates rather than wrapping.
+        assert_eq!(Rat::from(BigInt::one().shl(1100)).to_f64(), f64::INFINITY);
+        assert_eq!(Rat::new(BigInt::one(), BigInt::one().shl(1100)).to_f64(), 0.0);
     }
 
     #[test]

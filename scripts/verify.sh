@@ -17,6 +17,19 @@ echo "== frozen benchmark: cqabench's own tests (oracles, count determinism) =="
 # testing it here catches a rename of any name it calls.
 cargo test -q --release --manifest-path cqabench/Cargo.toml
 
+echo "== benchmark hash gate: hurricane seed 1 =="
+# One untimed pass of the frozen benchmark's hurricane workload: its
+# oracle must hold and its result hash must match the committed value.
+hurricane=$(cargo run -q --release --offline --manifest-path cqabench/Cargo.toml -- \
+    --workload hurricane --seed 1 --seconds 0 --trace 0)
+if ! grep -q '"correct":true' <<<"$hurricane" \
+    || ! grep -qx '# result_hash 3eb20a49a3eb0c3f' <<<"$hurricane"; then
+    echo "$hurricane" >&2
+    echo "hurricane seed 1 is incorrect or its result hash moved" >&2
+    exit 1
+fi
+echo "hurricane seed 1: correct, result_hash 3eb20a49a3eb0c3f"
+
 echo "== parallel determinism gate: quick grid, twice =="
 out1=$(cargo run -q --release -p cqa-bench --bin parallel_speedup -- --quick --out /tmp/verify_parallel_1.json)
 echo "$out1"

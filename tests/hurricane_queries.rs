@@ -77,6 +77,27 @@ fn query2_parcels_the_hurricane_passed() {
     assert_eq!(names(&out, 0), vec!["A", "B", "C"], "the path crosses all three parcels");
 }
 
+/// Q2's join on the Figure 2 instance pins the multi-variable filter: a
+/// segment `t ∈ [a, b]; x = t; y = 2` bounds `x` only by propagation
+/// through `x = t`, which rejects 4 of the 9 pairs (the parcels east or
+/// west of each segment). The filter must not change the answer.
+#[test]
+fn query2_filter_rejects_parcels_off_each_segment() {
+    use cqa::core::{ExecCounter, ExecOptions};
+    let q2 = "R0 = join Hurricane and Land\n";
+    let mut filtered = runner();
+    let with = filtered.run(q2).unwrap();
+    let stats = filtered.exec_stats();
+    assert_eq!(stats.get(ExecCounter::FilterChecked), 9);
+    assert_eq!(stats.get(ExecCounter::FilterRejected), 4);
+
+    let mut exact = runner();
+    exact.set_exec_options(ExecOptions { bbox_filter: false, ..ExecOptions::default() });
+    let without = exact.run(q2).unwrap();
+    assert_eq!(exact.exec_stats().get(ExecCounter::FilterChecked), 0);
+    assert_eq!(with, without);
+}
+
 #[test]
 fn query3_owners_hit_between_4_and_9() {
     let mut r = runner();
