@@ -250,13 +250,6 @@ impl Conjunction {
         interval
     }
 
-    /// The bounding box of the conjunction over the given variables, as one
-    /// interval per variable (in input order). Unmentioned variables get
-    /// the full line, per the broad semantics.
-    pub fn bounding_box(&self, vars: &[Var]) -> Vec<Interval> {
-        vars.iter().map(|&v| self.bounds(v)).collect()
-    }
-
     /// Picks an arbitrary satisfying assignment over the given variables,
     /// if one exists. Useful for tests and counterexamples.
     pub fn sample_point(&self, vars: &[Var]) -> Option<Assignment> {
@@ -497,7 +490,7 @@ mod tests {
     }
 
     #[test]
-    fn bounds_and_bounding_box() {
+    fn bounds_keep_strictness() {
         let c = Conjunction::from_atoms([
             ge(x(), 1),
             Atom::lt(LinExpr::var(x()), LinExpr::constant_int(4)),
@@ -511,9 +504,6 @@ mod tests {
         assert_eq!(c.bounds(y()), Interval::point(ri(7)));
         // Unconstrained variable: full line (broad semantics).
         assert!(c.bounds(Var(9)).is_full());
-        let bb = c.bounding_box(&[x(), y()]);
-        assert_eq!(bb.len(), 2);
-        assert!(bb[1].is_point());
     }
 
     #[test]

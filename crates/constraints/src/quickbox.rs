@@ -24,9 +24,9 @@
 //!
 //! Soundness is one-directional by design:
 //!
-//! * every bound is widened **outward** by a relative epsilon larger
-//!   than any `Rat → f64` rounding error, so the float box always
-//!   contains the exact rational box;
+//! * every single-variable bound is [`cqa_num::Rat::to_f64_enclosure`]
+//!   of the exact rational bound, so the float box always contains the
+//!   exact rational box;
 //! * a propagated bound is further widened by
 //!   `WIDEN_EPS·(1 + Σ|cᵢ·xᵢ| + |k|)/|cⱼ|`, which dominates the rounding
 //!   of the `f64` sum and the cancellation between its terms;
@@ -49,18 +49,7 @@
 //! of running Fourier–Motzkin.
 
 use crate::{Atom, Conjunction, Rel, Var};
-
-/// Outward widening factor; `Rat::to_f64` is within a few ulps
-/// (relative error ≤ ~2⁻⁵⁰), so a relative 1e-9 margin dominates it.
-const WIDEN_EPS: f64 = 1e-9;
-
-fn widen_down(x: f64) -> f64 {
-    x - WIDEN_EPS * (1.0 + x.abs())
-}
-
-fn widen_up(x: f64) -> f64 {
-    x + WIDEN_EPS * (1.0 + x.abs())
-}
+use cqa_num::{enclose, WIDEN_EPS};
 
 /// Rounds of propagation over the multi-variable atoms.
 const PROPAGATION_ROUNDS: usize = 2;
@@ -179,7 +168,7 @@ fn rest(sum: f64, infinite: usize, own: f64, infinity: f64) -> f64 {
 /// One HC4 "revise" of the row `Σ cᵢ·xᵢ + k rel 0` against `bx`: each
 /// `xⱼ` is tightened to `(−k − rest)/cⱼ`, `rest` being the interval sum
 /// of the other terms, widened by `WIDEN_EPS·(1 + Σ|cᵢ·xᵢ| + |k|)/|cⱼ|`
-/// and then by [`widen_up`]/[`widen_down`].
+/// and then by [`enclose`].
 fn revise(bx: &mut QuickBox, terms: &[(usize, f64)], k: f64, eq: bool) {
     // Non-finite sides (unbounded, or overflowed) are counted rather than
     // summed, so each variable's `rest` is the total minus its own term.
@@ -211,9 +200,9 @@ fn revise(bx: &mut QuickBox, terms: &[(usize, f64)], k: f64, eq: bool) {
                 return;
             }
             if upper {
-                bx.hi[d] = bx.hi[d].min(widen_up(bound + slack));
+                bx.hi[d] = bx.hi[d].min(enclose(bound + slack).1);
             } else {
-                bx.lo[d] = bx.lo[d].max(widen_down(bound - slack));
+                bx.lo[d] = bx.lo[d].max(enclose(bound - slack).0);
             }
         };
         // `cⱼ·xⱼ ≤ −k − rest_lo`; an equality also gives `≥ −k − rest_hi`.
@@ -229,8 +218,8 @@ impl Conjunction {
     ///
     /// Cost: one pass over the atoms, with one small rational division
     /// per single-variable atom; then, when there are multi-variable
-    /// atoms, [`PROPAGATION_ROUNDS`] passes of `f64` interval propagation
-    /// over them. No Fourier–Motzkin.
+    /// atoms, two passes of `f64` interval propagation over them. No
+    /// Fourier–Motzkin.
     pub fn quick_box(&self, arity: usize) -> QuickBox {
         let mut bx = QuickBox::full(arity);
         let mut rows = Rows::default();
@@ -254,23 +243,20 @@ impl Conjunction {
                 continue;
             }
             // `c·v + k rel 0`  ⇔  `v rel' -k/c` (rel' flips when c < 0).
-            let bound = -(&(expr.constant_term() / coeff));
-            let bf = bound.to_f64();
-            if !bf.is_finite() {
-                continue; // magnitude beyond f64: leave the side unbounded
-            }
+            // A bound beyond the f64 range encloses to the whole line.
+            let (lo, hi) = (-(&(expr.constant_term() / coeff))).to_f64_enclosure();
             let upper_side = coeff.is_positive();
             match atom.rel() {
                 Rel::Eq => {
-                    bx.lo[d] = bx.lo[d].max(widen_down(bf));
-                    bx.hi[d] = bx.hi[d].min(widen_up(bf));
+                    bx.lo[d] = bx.lo[d].max(lo);
+                    bx.hi[d] = bx.hi[d].min(hi);
                 }
                 // Strictness is dropped: closed bounds are outward.
                 Rel::Le | Rel::Lt => {
                     if upper_side {
-                        bx.hi[d] = bx.hi[d].min(widen_up(bf));
+                        bx.hi[d] = bx.hi[d].min(hi);
                     } else {
-                        bx.lo[d] = bx.lo[d].max(widen_down(bf));
+                        bx.lo[d] = bx.lo[d].max(lo);
                     }
                 }
             }

@@ -43,8 +43,9 @@ impl RelationIndex {
     /// Builds an index over the given attributes of `rel`.
     ///
     /// Attributes must be rational (constraint attributes index their
-    /// exact projection interval; relational ones their point value, with
-    /// nulls widened to the whole domain so the filter stays sound).
+    /// [`cqa_constraints::QuickBox`] dimension; relational ones an
+    /// enclosure of their point value, with nulls widened to the whole
+    /// domain so the filter stays sound).
     pub fn build(rel: &HRelation, attrs: &[&str]) -> Result<RelationIndex> {
         if attrs.is_empty() || attrs.len() > 2 {
             return Err(CoreError::BadPredicate(
@@ -63,53 +64,9 @@ impl RelationIndex {
             }
             positions.push(schema.position(name)?);
         }
-        // Per-tuple, per-attribute [lo, hi] in f64 (conservative).
-        let extent = |tuple_idx: usize, attr_pos: usize| -> (f64, f64) {
-            let t = &rel.tuples()[tuple_idx];
-            match schema.attrs()[attr_pos].kind {
-                AttrKind::Relational => match t.value(attr_pos) {
-                    Some(Value::Rat(r)) => {
-                        let v = r.to_f64();
-                        (v - 1e-9, v + 1e-9)
-                    }
-                    _ => (-WORLD, WORLD), // null: sound over-approximation
-                },
-                AttrKind::Constraint => {
-                    let interval = t.constraint().bounds(schema.var(attr_pos));
-                    let (lo, hi) = interval.to_f64_bounds();
-                    if lo > hi {
-                        (1.0, -1.0) // unsatisfiable tuple: index nothing
-                    } else {
-                        // Clamp both endpoints into the world: an extent
-                        // entirely beyond it collapses onto the border and
-                        // still meets every (equally clamped) probe.
-                        (lo.clamp(-WORLD, WORLD) - 1e-9, hi.clamp(-WORLD, WORLD) + 1e-9)
-                    }
-                }
-            }
-        };
-        let tree = match positions.as_slice() {
-            [a] => {
-                let mut t: RStarTree<1, u64> = RStarTree::new(RStarParams::fitting_page(1));
-                for i in 0..rel.len() {
-                    let (lo, hi) = extent(i, *a);
-                    if lo <= hi {
-                        t.insert(Rect::new([lo], [hi]), i as u64);
-                    }
-                }
-                IndexTree::One(t)
-            }
-            [a, b] => {
-                let mut t: RStarTree<2, u64> = RStarTree::new(RStarParams::fitting_page(2));
-                for i in 0..rel.len() {
-                    let (xlo, xhi) = extent(i, *a);
-                    let (ylo, yhi) = extent(i, *b);
-                    if xlo <= xhi && ylo <= yhi {
-                        t.insert(Rect::new([xlo, ylo], [xhi, yhi]), i as u64);
-                    }
-                }
-                IndexTree::Two(t)
-            }
+        let tree = match *positions.as_slice() {
+            [a] => IndexTree::One(build_tree(rel, [a])),
+            [a, b] => IndexTree::Two(build_tree(rel, [a, b])),
             _ => unreachable!("validated arity"),
         };
         Ok(RelationIndex {
@@ -132,32 +89,63 @@ impl RelationIndex {
     /// Probes with per-attribute `[lo, hi]` bounds (`None` = unbounded),
     /// aligned with [`Self::attrs`]. Returns candidate tuple ordinals,
     /// sorted ascending.
-    ///
-    /// Bounds are clamped to the same `±WORLD` range the stored extents
-    /// were clamped to: a probe beyond it would otherwise miss tuples
-    /// whose true extents exceed the clamp.
     pub fn probe(&self, bounds: &[Option<(f64, f64)>]) -> Vec<usize> {
         debug_assert_eq!(bounds.len(), self.attrs.len());
-        let get = |i: usize| {
-            let (lo, hi) = bounds[i].unwrap_or((-WORLD, WORLD));
-            (lo.clamp(-WORLD, WORLD), hi.clamp(-WORLD, WORLD))
-        };
         let (mut ids, accesses) = match &self.tree {
-            IndexTree::One(t) => {
-                let (lo, hi) = get(0);
-                t.search(&Rect::new([lo], [hi]))
-            }
-            IndexTree::Two(t) => {
-                let (xlo, xhi) = get(0);
-                let (ylo, yhi) = get(1);
-                t.search(&Rect::new([xlo, ylo], [xhi, yhi]))
-            }
+            IndexTree::One(t) => search(t, bounds),
+            IndexTree::Two(t) => search(t, bounds),
         };
         self.accesses.fetch_add(accesses, Ordering::Relaxed);
         ids.sort_unstable();
         ids.dedup();
         ids.into_iter().map(|i| i as usize).collect()
     }
+}
+
+/// An R\*-tree over the extents of `rel`'s tuples in the attributes at
+/// `positions`, each clamped into `±WORLD`: an extent entirely beyond it
+/// collapses onto the border and still meets every (equally clamped)
+/// probe.
+///
+/// A tuple whose [`cqa_constraints::QuickBox`] is known empty is
+/// unsatisfiable and not indexed.
+fn build_tree<const D: usize>(rel: &HRelation, positions: [usize; D]) -> RStarTree<D, u64> {
+    let schema = rel.schema();
+    let mut tree = RStarTree::new(RStarParams::fitting_page(D));
+    for (i, t) in rel.tuples().iter().enumerate() {
+        let bx = t.constraint().quick_box(schema.arity());
+        if bx.is_known_empty() {
+            continue;
+        }
+        let (mut lo, mut hi) = ([0.0; D], [0.0; D]);
+        for (k, &p) in positions.iter().enumerate() {
+            let (l, h) = match (schema.attrs()[p].kind, t.value(p)) {
+                (AttrKind::Constraint, _) => bx.dim(p),
+                (AttrKind::Relational, Some(Value::Rat(r))) => r.to_f64_enclosure(),
+                (AttrKind::Relational, _) => (-WORLD, WORLD), // null
+            };
+            (lo[k], hi[k]) = (l.clamp(-WORLD, WORLD), h.clamp(-WORLD, WORLD));
+        }
+        tree.insert(Rect::new(lo, hi), i as u64);
+    }
+    tree
+}
+
+/// Searches `tree` with per-dimension `[lo, hi]` bounds (`None` =
+/// unbounded), clamped to the `±WORLD` range the stored extents were
+/// clamped to: a probe beyond it would otherwise miss tuples whose true
+/// extents exceed the clamp. Returns the hits and the node accesses.
+fn search<const D: usize>(
+    tree: &RStarTree<D, u64>,
+    bounds: &[Option<(f64, f64)>],
+) -> (Vec<u64>, u64) {
+    let (mut lo, mut hi) = ([-WORLD; D], [WORLD; D]);
+    for (k, bound) in bounds.iter().enumerate() {
+        if let Some((l, h)) = *bound {
+            (lo[k], hi[k]) = (l.clamp(-WORLD, WORLD), h.clamp(-WORLD, WORLD));
+        }
+    }
+    tree.search(&Rect::new(lo, hi))
 }
 
 /// A named collection of relations.

@@ -15,7 +15,7 @@
 //!
 //! There are two entries, both `(plan, catalog, opts, stats)`:
 //! [`execute`] returns the relation, and [`execute_traced`] also returns
-//! the per-node [`TraceNode`] tree. They share **one** evaluator: [`eval`]
+//! the per-node [`TraceNode`] tree. They share **one** evaluator: `eval`
 //! takes an optional trace sink, so the traced path makes exactly the
 //! physical choices (index-assisted selection included) the untraced path
 //! makes — `EXPLAIN ANALYZE` reports the plan that actually runs. Per-run
@@ -28,12 +28,13 @@ use crate::catalog::Catalog;
 use crate::error::Result;
 use crate::ops;
 use crate::par::{ExecCounter, ExecOptions, ExecStats, N_COUNTERS};
-use crate::plan::Plan;
+use crate::plan::{Plan, Predicate};
 use crate::relation::HRelation;
 use crate::safety;
 use crate::schema::{AttrDef, Schema};
 use crate::tuple::Tuple;
 use crate::value::Value;
+use cqa_constraints::Conjunction;
 
 /// Evaluates a plan against a catalog (after a safety check) under
 /// `opts`; evaluation counters (filter hits, FM calls/peak, index probes,
@@ -592,7 +593,6 @@ fn try_index_select(
     opts: &ExecOptions,
     stats: &ExecStats,
 ) -> Result<Option<(HRelation, String)>> {
-    use crate::plan::{CmpOp, Predicate};
     let rel = catalog.get(name)?;
     let indexes = catalog.indexes(name);
     if indexes.is_empty() || rel.is_empty() {
@@ -601,70 +601,36 @@ fn try_index_select(
     // Surface validation errors exactly as the unindexed path would.
     ops::select::validate(rel.schema(), selection)?;
 
-    // Per-attribute f64 bounds from single-attribute linear predicates.
-    // Bounds are *widened* slightly: float rounding must never exclude a
-    // true match (the refinement re-checks exactly).
-    let mut bounds: std::collections::BTreeMap<&str, (f64, f64)> = Default::default();
+    // The probe window: the QuickBox of the selection's linear predicates
+    // over every rational attribute. It encloses every point the
+    // selection admits (the refinement re-checks exactly).
+    let schema = rel.schema();
+    let mut conj = Conjunction::tru();
     for pred in selection.predicates() {
         let Predicate::Linear { terms, constant, op } = pred else { continue };
-        if terms.len() != 1 {
-            continue;
-        }
-        let (attr, coeff) = (&terms[0].0, &terms[0].1);
-        if coeff.is_zero() {
-            continue;
-        }
-        // c·a + k op 0  ⇔  a op' −k/c, comparison flipping with c's sign.
-        let bound = (-(constant) / coeff).to_f64();
-        let eps = 1e-9 * (1.0 + bound.abs());
-        let upper = matches!(
-            (op, coeff.is_positive()),
-            (CmpOp::Le | CmpOp::Lt, true) | (CmpOp::Ge | CmpOp::Gt, false)
-        );
-        let lower = matches!(
-            (op, coeff.is_positive()),
-            (CmpOp::Ge | CmpOp::Gt, true) | (CmpOp::Le | CmpOp::Lt, false)
-        );
-        if *op != CmpOp::Eq && !upper && !lower {
-            continue; // e.g. <>: contributes no range bound
-        }
-        let entry = bounds
-            .entry(attr.as_str())
-            .or_insert((f64::NEG_INFINITY, f64::INFINITY));
-        if *op == CmpOp::Eq {
-            entry.0 = entry.0.max(bound - eps);
-            entry.1 = entry.1.min(bound + eps);
-        } else if upper {
-            entry.1 = entry.1.min(bound + eps);
-        } else if lower {
-            entry.0 = entry.0.max(bound - eps);
+        let expr = ops::select::linear_expr(schema, terms, constant, None)?
+            .expect("no tuple, so no null");
+        if let Ok(atom) = ops::select::linear_atom(expr, *op) {
+            conj.add(atom);
         }
     }
-    if bounds.is_empty() {
-        return Ok(None);
+    let window = conj.quick_box(schema.arity());
+    // A contradiction (x ≥ 10 ∧ x ≤ 5): no tuple can pass the selection,
+    // and an inverted probe rectangle would be rejected by the index.
+    // Answer directly.
+    if window.is_known_empty() {
+        return Ok(Some((HRelation::new(schema.clone()), "contradiction".to_string())));
     }
-    // Contradictory bounds (x ≥ 10 ∧ x ≤ 5): no tuple can pass the
-    // selection's conjunction, and an inverted probe rectangle would be
-    // rejected by the index. Answer directly.
-    if bounds.values().any(|(lo, hi)| lo > hi) {
-        return Ok(Some((HRelation::new(rel.schema().clone()), "contradiction".to_string())));
-    }
+    let dim = |a: &String| window.dim(schema.position(a).expect("indexed attribute exists"));
+    let bounded = |a: &String| dim(a) != (f64::NEG_INFINITY, f64::INFINITY);
 
     // Pick the index covering the most bounded attributes.
-    let best = indexes
-        .iter()
-        .max_by_key(|ix| ix.attrs().iter().filter(|a| bounds.contains_key(a.as_str())).count());
+    let best = indexes.iter().max_by_key(|ix| ix.attrs().iter().filter(|a| bounded(a)).count());
     let Some(index) = best else { return Ok(None) };
-    let covered =
-        index.attrs().iter().filter(|a| bounds.contains_key(a.as_str())).count();
-    if covered == 0 {
+    if !index.attrs().iter().any(bounded) {
         return Ok(None);
     }
-    let probe: Vec<Option<(f64, f64)>> = index
-        .attrs()
-        .iter()
-        .map(|a| bounds.get(a.as_str()).copied())
-        .collect();
+    let probe: Vec<Option<(f64, f64)>> = index.attrs().iter().map(|a| Some(dim(a))).collect();
     let accesses_before = index.accesses();
     let span_start = cqa_obs::spans_enabled().then(Instant::now);
     let candidates = index.probe(&probe);
@@ -959,10 +925,24 @@ mod tests {
 
         let mut plain = Catalog::new();
         plain.register("R", rel.clone());
+        let mut only_x = Catalog::new();
+        only_x.register("R", rel.clone());
+        only_x.build_index("R", &["x"]).unwrap();
         let mut indexed = Catalog::new();
         indexed.register("R", rel);
         indexed.build_index("R", &["x", "y"]).unwrap();
         indexed.build_index("R", &["x"]).unwrap();
+
+        // x is bounded only through x = y: the [x] index still applies.
+        let through_y = Selection::all()
+            .cmp_attrs("x", CmpOp::Eq, "y")
+            .cmp_int("y", CmpOp::Ge, 5)
+            .cmp_int("y", CmpOp::Le, 6);
+        let plan = Plan::scan("R").select(through_y.clone());
+        let expected = run(&plan, &plain).unwrap();
+        assert!(!expected.is_empty());
+        assert_eq!(run(&plan, &only_x).unwrap(), expected);
+        assert!(only_x.indexes("R")[0].accesses() > 0, "the [x] index should be probed");
 
         let selections = [
             Selection::all().cmp_int("x", CmpOp::Ge, 100).cmp_int("x", CmpOp::Le, 150),
@@ -973,6 +953,12 @@ mod tests {
             Selection::all().cmp_int("y", CmpOp::Eq, 33),
             Selection::all().cmp_int("x", CmpOp::Gt, 10_000), // empty result
             Selection::all().str_eq("id", "t5").cmp_int("x", CmpOp::Ge, 0),
+            through_y,
+            // x ≥ 10 and x = y force y ≥ 10: empty only by propagation.
+            Selection::all()
+                .cmp_attrs("x", CmpOp::Eq, "y")
+                .cmp_int("x", CmpOp::Ge, 10)
+                .cmp_int("y", CmpOp::Le, 5),
         ];
         for sel in selections {
             let plan = Plan::scan("R").select(sel.clone());

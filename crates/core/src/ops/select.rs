@@ -166,7 +166,7 @@ enum Applied {
     /// Predicate reduced to a ground truth of `true`.
     Accept,
     /// Residual constraint to conjoin (involves constraint attributes).
-    Residual(Vec<Atom>),
+    Residual(Atom),
 }
 
 /// Validates a selection against a schema (attribute existence, types, and
@@ -239,11 +239,7 @@ pub fn select(
                 match apply_predicate(schema, tuple, pred)? {
                     Applied::Reject => return Ok(None),
                     Applied::Accept => {}
-                    Applied::Residual(atoms) => {
-                        for a in atoms {
-                            residual.add(a);
-                        }
-                    }
+                    Applied::Residual(atom) => residual.add(atom),
                 }
             }
             if opts.bbox_filter {
@@ -298,38 +294,13 @@ fn apply_predicate(schema: &Schema, tuple: &Tuple, pred: &Predicate) -> Result<A
             Ok(if pass { Applied::Accept } else { Applied::Reject })
         }
         Predicate::Linear { terms, constant, op } => {
-            // Build the linear expression, substituting relational values.
-            let mut expr = LinExpr::constant(constant.clone());
-            for (name, coeff) in terms {
-                let def = schema.attr(name)?;
-                if def.ty != AttrType::Rat {
-                    return Err(CoreError::BadPredicate(format!(
-                        "numeric predicate on string attribute {:?}",
-                        name
-                    )));
-                }
-                let idx = schema.position(name)?;
-                match def.kind {
-                    AttrKind::Constraint => expr.add_term(schema.var(idx), coeff.clone()),
-                    AttrKind::Relational => match tuple.value(idx) {
-                        None => return Ok(Applied::Reject), // null: narrow
-                        Some(Value::Rat(v)) => {
-                            let shifted = expr.constant_term() + &(coeff * v);
-                            expr.set_constant(shifted);
-                        }
-                        Some(_) => unreachable!("validated rational attribute"),
-                    },
-                }
-            }
-            // ≠ requires a ground (fully relational) expression: the linear
-            // constraint class has no disequality atoms.
-            let atoms: Vec<Atom> = match op {
-                CmpOp::Eq => vec![Atom::new(expr, Rel::Eq)],
-                CmpOp::Le => vec![Atom::new(expr, Rel::Le)],
-                CmpOp::Lt => vec![Atom::new(expr, Rel::Lt)],
-                CmpOp::Ge => vec![Atom::new(-&expr, Rel::Le)],
-                CmpOp::Gt => vec![Atom::new(-&expr, Rel::Lt)],
-                CmpOp::Ne => {
+            let Some(expr) = linear_expr(schema, terms, constant, Some(tuple))? else {
+                return Ok(Applied::Reject); // null: narrow
+            };
+            let atom = match linear_atom(expr, *op) {
+                Ok(atom) => atom,
+                // ≠ requires a ground (fully relational) expression.
+                Err(expr) => {
                     if !expr.is_constant() {
                         return Err(CoreError::BadPredicate(
                             "<> over constraint attributes is not a linear constraint"
@@ -344,12 +315,60 @@ fn apply_predicate(schema: &Schema, tuple: &Tuple, pred: &Predicate) -> Result<A
                 }
             };
             // Ground atoms decide immediately; others join the residual.
-            if let Some(truth) = atoms[0].ground_truth() {
+            if let Some(truth) = atom.ground_truth() {
                 return Ok(if truth { Applied::Accept } else { Applied::Reject });
             }
-            Ok(Applied::Residual(atoms))
+            Ok(Applied::Residual(atom))
         }
     }
+}
+
+/// `Σ coeffᵢ·attrᵢ + constant` over the schema's constraint variables,
+/// every rational attribute being a variable. Given a tuple, relational
+/// attributes take its values instead, and the result is `None` when one
+/// of them is null.
+pub(crate) fn linear_expr(
+    schema: &Schema,
+    terms: &[(String, Rat)],
+    constant: &Rat,
+    tuple: Option<&Tuple>,
+) -> Result<Option<LinExpr>> {
+    let mut expr = LinExpr::constant(constant.clone());
+    for (name, coeff) in terms {
+        let def = schema.attr(name)?;
+        if def.ty != AttrType::Rat {
+            return Err(CoreError::BadPredicate(format!(
+                "numeric predicate on string attribute {:?}",
+                name
+            )));
+        }
+        let idx = schema.position(name)?;
+        match (def.kind, tuple) {
+            (AttrKind::Relational, Some(tuple)) => match tuple.value(idx) {
+                None => return Ok(None),
+                Some(Value::Rat(v)) => {
+                    let shifted = expr.constant_term() + &(coeff * v);
+                    expr.set_constant(shifted);
+                }
+                Some(_) => unreachable!("validated rational attribute"),
+            },
+            _ => expr.add_term(schema.var(idx), coeff.clone()),
+        }
+    }
+    Ok(Some(expr))
+}
+
+/// The atom `expr op 0`; for `<>`, which the linear constraint class has
+/// no atom for, `expr` is handed back.
+pub(crate) fn linear_atom(expr: LinExpr, op: CmpOp) -> std::result::Result<Atom, LinExpr> {
+    Ok(match op {
+        CmpOp::Eq => Atom::new(expr, Rel::Eq),
+        CmpOp::Le => Atom::new(expr, Rel::Le),
+        CmpOp::Lt => Atom::new(expr, Rel::Lt),
+        CmpOp::Ge => Atom::new(-&expr, Rel::Le),
+        CmpOp::Gt => Atom::new(-&expr, Rel::Lt),
+        CmpOp::Ne => return Err(expr),
+    })
 }
 
 #[cfg(test)]

@@ -907,8 +907,9 @@ pub(crate) mod tests {
         assert_eq!(hits, vec![10, 11, 12]);
     }
 
-    /// Rects with infinite sides, as `bbox_f64` yields for coordinates
-    /// beyond f64 range: a `[-inf, +inf]` side has a NaN center.
+    /// Rects with infinite sides, as a feature box yields where a
+    /// coordinate is beyond the f64 range and so encloses to the whole
+    /// line: a `[-inf, +inf]` side has a NaN center.
     pub(crate) fn unbounded_entries() -> Vec<(Rect<2>, usize)> {
         let inf = f64::INFINITY;
         (0..60usize)

@@ -30,4 +30,4 @@ pub mod prng;
 mod rat;
 
 pub use bigint::{BigInt, ParseBigIntError, Sign};
-pub use rat::{ParseRatError, Rat};
+pub use rat::{enclose, ParseRatError, Rat, WIDEN_EPS};

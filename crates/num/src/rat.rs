@@ -34,6 +34,22 @@ impl fmt::Display for ParseRatError {
 
 impl std::error::Error for ParseRatError {}
 
+/// Relative outward margin of [`enclose`]: [`Rat::to_f64`] errs by less
+/// than 2⁻⁵⁰ relative outside the subnormal range, and by less than 2⁻¹⁰²²
+/// absolute inside it, so `1e-9·(1 + |x|)` dominates both.
+pub const WIDEN_EPS: f64 = 1e-9;
+
+/// The interval `x ∓ WIDEN_EPS·(1 + |x|)`, or `(−∞, +∞)` when `x` is not
+/// finite: it encloses every exact value that `x` approximates to within
+/// a small fraction of that margin, as [`Rat::to_f64`] does.
+pub fn enclose(x: f64) -> (f64, f64) {
+    if !x.is_finite() {
+        return (f64::NEG_INFINITY, f64::INFINITY);
+    }
+    let pad = WIDEN_EPS * (1.0 + x.abs());
+    (x - pad, x + pad)
+}
+
 impl Rat {
     /// Builds `num / den` in canonical form.
     ///
@@ -201,6 +217,16 @@ impl Rat {
             e -= step;
         }
         q
+    }
+
+    /// An `f64` interval `(lo, hi)` that contains `self`: the
+    /// [`Rat::to_f64`] image moved outward by [`enclose`]; `(−∞, +∞)` when
+    /// the image is not finite.
+    ///
+    /// This is the one rounding rule behind every float box a filter step
+    /// builds from exact values: such a box must contain the exact one.
+    pub fn to_f64_enclosure(&self) -> (f64, f64) {
+        enclose(self.to_f64())
     }
 
     /// Renders as a decimal string with at most `max_frac` fraction

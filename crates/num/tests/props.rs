@@ -145,7 +145,44 @@ proptest! {
     }
 }
 
+/// The exact value of a finite `f64`: its significand times a power of
+/// two, read from the bit pattern.
+fn exact_f64(x: f64) -> Rat {
+    let bits = x.to_bits();
+    let biased = ((bits >> 52) & 0x7ff) as i64;
+    let frac = (bits & ((1 << 52) - 1)) as i64;
+    let (mantissa, exp) = if biased == 0 { (frac, -1074) } else { (frac | 1 << 52, biased - 1075) };
+    let m = BigInt::from(if x.is_sign_negative() { -mantissa } else { mantissa });
+    if exp >= 0 {
+        Rat::from(m.shl(exp as u32))
+    } else {
+        Rat::new(m, BigInt::one().shl((-exp) as u32))
+    }
+}
+
 proptest! {
+    /// `to_f64_enclosure` brackets the exact value, checked in exact
+    /// arithmetic; a non-finite image yields `(−∞, +∞)`.
+    #[test]
+    fn to_f64_enclosure_brackets(shape in 0u8..4, p in any::<i64>(), q in 1i64..i64::MAX, bits in 0u32..1200) {
+        let r = match shape {
+            // 1e8 plus k tenths of 2⁻²⁶: offsets finer than an ulp of 1e8.
+            0 => Rat::from_int(100_000_000) + Rat::from_pair(p % 1000, 10 << 26),
+            // Numerators of 900 to 1263 bits, some beyond the f64 range.
+            1 => Rat::new(BigInt::from(p).shl(900 + bits % 300), BigInt::from(q)),
+            // Down to 2⁻¹²⁶³: tiny, subnormal and below.
+            2 => Rat::new(BigInt::from(p), BigInt::from(q).shl(bits)),
+            _ => Rat::from_pair(p, q),
+        };
+        let (lo, hi) = r.to_f64_enclosure();
+        if r.to_f64().is_finite() {
+            prop_assert!(lo == f64::NEG_INFINITY || exact_f64(lo) <= r, "{} < lo {}", r, lo);
+            prop_assert!(hi == f64::INFINITY || r <= exact_f64(hi), "{} > hi {}", r, hi);
+        } else {
+            prop_assert_eq!((lo, hi), (f64::NEG_INFINITY, f64::INFINITY));
+        }
+    }
+
     #[test]
     fn bigint_bytes_roundtrip(a in any::<i128>()) {
         let v = big(a);

@@ -180,21 +180,18 @@ impl Geometry {
         }
     }
 
-    /// Axis-aligned bounding box as `f64` (conservative, for index keys).
-    pub fn bbox_f64(&self) -> ([f64; 2], [f64; 2]) {
-        let mut lo = [f64::INFINITY; 2];
-        let mut hi = [f64::NEG_INFINITY; 2];
-        for p in self.points() {
-            let (x, y) = (p.x.to_f64(), p.y.to_f64());
-            lo[0] = lo[0].min(x);
-            lo[1] = lo[1].min(y);
-            hi[0] = hi[0].max(x);
-            hi[1] = hi[1].max(y);
-        }
-        // Nudge outward one ulp-ish step so rational→f64 rounding can never
-        // shrink the box.
-        let eps = 1e-9;
-        ([lo[0] - eps, lo[1] - eps], [hi[0] + eps, hi[1] + eps])
+    /// The exact axis-aligned bounding box grown by `d` on every side,
+    /// enclosed in an `f64` box by [`Rat::to_f64_enclosure`] (for index
+    /// keys, `d = 0`, and buffer-join probes).
+    pub fn bbox_f64(&self, d: &Rat) -> ([f64; 2], [f64; 2]) {
+        let pts = self.points();
+        let axis = |coord: fn(&Point) -> &Rat| {
+            let lo = pts.iter().map(coord).min().expect("a geometry has a point");
+            let hi = pts.iter().map(coord).max().expect("a geometry has a point");
+            ((lo - d).to_f64_enclosure().0, (hi + d).to_f64_enclosure().1)
+        };
+        let ((xlo, xhi), (ylo, yhi)) = (axis(|p| &p.x), axis(|p| &p.y));
+        ([xlo, ylo], [xhi, yhi])
     }
 }
 
@@ -299,8 +296,11 @@ mod tests {
     #[test]
     fn bbox() {
         let g = Geometry::polyline(vec![p(1, 2), p(5, -3)]).unwrap();
-        let (lo, hi) = g.bbox_f64();
+        let (lo, hi) = g.bbox_f64(&Rat::zero());
         assert!(lo[0] <= 1.0 && hi[0] >= 5.0);
         assert!(lo[1] <= -3.0 && hi[1] >= 2.0);
+        let (lo, hi) = g.bbox_f64(&Rat::from_int(2));
+        assert!(lo[0] <= -1.0 && hi[0] >= 7.0);
+        assert!(lo[1] <= -5.0 && hi[1] >= 4.0);
     }
 }

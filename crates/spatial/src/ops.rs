@@ -46,13 +46,11 @@ pub fn buffer_join(
 ) -> (IdPairs, u64) {
     assert!(!d.is_negative(), "buffer distance must be non-negative");
     let d2 = d * d;
-    let df = d.to_f64() + 1e-9;
     let threads = cqa_num::par::effective_threads(threads);
     let per_feature: Vec<(IdPairs, u64)> = map_chunks(r1.features(), threads, |f1| {
-        // Filter: expand f1's box by d and probe r2's index.
-        let (lo, hi) = f1.geom.bbox_f64();
-        let probe = Rect::new([lo[0] - df, lo[1] - df], [hi[0] + df, hi[1] + df]);
-        let (mut cands, acc) = r2.candidates(&probe);
+        // Filter: probe r2's index with f1's box grown by d.
+        let (lo, hi) = f1.geom.bbox_f64(d);
+        let (mut cands, acc) = r2.candidates(&Rect::new(lo, hi));
         cands.sort_unstable();
         let mut rows = Vec::new();
         for idx in cands {
@@ -164,22 +162,33 @@ mod tests {
 
     #[test]
     fn buffer_join_agrees_with_exhaustive(){
-        let r1 = roads();
-        let r2 = cities();
-        let d = Rat::from_int(3);
-        let (pairs, _) = buffer_join(&r1, &r2, &d, 1);
-        let mut want = Vec::new();
-        for f1 in r1.features() {
-            for f2 in r2.features() {
-                if f1.geom.dist2(&f2.geom) <= &d * &d {
-                    want.push((f1.id.clone(), f2.id.clone()));
+        // Near 1e8, where an f64 ulp (2⁻²⁶) exceeds both the gap (4/10 of
+        // an ulp) and any absolute 1e-9 pad: the pair must survive the filter.
+        let near = |id: &str, tenths: i64| {
+            let x = Rat::from_int(100_000_000) + Rat::from_pair(tenths, 10 << 26);
+            Feature::new(id, Geometry::Point(Point::new(x, Rat::zero())))
+        };
+        let near_1e8 = (
+            SpatialRelation::from_features([near("a", 3)]),
+            SpatialRelation::from_features([near("b", 7)]),
+            Rat::from_pair(1, 167_772_160),
+        );
+        for (r1, r2, d) in [(roads(), cities(), Rat::from_int(3)), near_1e8] {
+            let (pairs, _) = buffer_join(&r1, &r2, &d, 1);
+            let mut want = Vec::new();
+            for f1 in r1.features() {
+                for f2 in r2.features() {
+                    if f1.geom.dist2(&f2.geom) <= &d * &d {
+                        want.push((f1.id.clone(), f2.id.clone()));
+                    }
                 }
             }
+            assert!(!want.is_empty());
+            let mut got = pairs;
+            got.sort();
+            want.sort();
+            assert_eq!(got, want);
         }
-        let mut got = pairs;
-        got.sort();
-        want.sort();
-        assert_eq!(got, want);
     }
 
     #[test]

@@ -7,6 +7,7 @@
 
 use crate::feature::{Feature, Geometry};
 use cqa_index::{RStarParams, RStarTree, Rect};
+use cqa_num::Rat;
 
 /// A collection of identified spatial features with a bounding-box index.
 pub struct SpatialRelation {
@@ -34,7 +35,7 @@ impl SpatialRelation {
 
     /// Adds a feature.
     pub fn insert(&mut self, feature: Feature) {
-        let (lo, hi) = feature.geom.bbox_f64();
+        let (lo, hi) = feature.geom.bbox_f64(&Rat::zero());
         let id = self.features.len() as u64;
         self.features.push(feature);
         self.index.insert(Rect::new(lo, hi), id);

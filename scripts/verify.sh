@@ -78,4 +78,8 @@ echo "== clippy (workspace, all targets, -D warnings) =="
 cargo clippy -q --workspace --all-targets --no-deps -- -D warnings
 echo "clippy clean"
 
+echo "== rustdoc (workspace, -D warnings) =="
+RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps --workspace --offline
+echo "rustdoc clean"
+
 echo "== verify OK =="

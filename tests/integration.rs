@@ -127,9 +127,8 @@ fn index_filter_refine_pipeline() {
     // Build the index from each tuple's bounding box.
     let mut tree: RStarTree<2, u64> = RStarTree::new(RStarParams::with_max(8));
     for (i, t) in rel.tuples().iter().enumerate() {
-        let bb = t.constraint().bounding_box(&[Var(0), Var(1)]);
-        let (xl, xh) = bb[0].to_f64_bounds();
-        let (yl, yh) = bb[1].to_f64_bounds();
+        let bx = t.constraint().quick_box(2);
+        let ((xl, xh), (yl, yh)) = (bx.dim(0), bx.dim(1));
         tree.insert(Rect::new([xl, yl], [xh, yh]), i as u64);
     }
     // Query box [20, 40] × [10, 30]: filter by index, refine exactly.
