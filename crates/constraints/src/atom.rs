@@ -218,10 +218,16 @@ impl Atom {
         }
     }
 
-    /// Renames `from` to `to` (which must be fresh in the atom).
-    pub fn rename(&self, from: Var, to: Var) -> Atom {
-        debug_assert!(!self.mentions(to));
-        self.substitute(from, &LinExpr::var(to))
+    /// Renames variables through the injective `to`. A renaming keeps the
+    /// coprime integer coefficients, so only an equation whose new leading
+    /// coefficient is negative needs work: negating it restores canonical
+    /// form.
+    pub(crate) fn map_vars(&self, to: impl Fn(Var) -> Var) -> Atom {
+        let mut expr = self.expr.map_vars(to);
+        if self.rel == Rel::Eq && expr.leading_coeff().is_some_and(Rat::is_negative) {
+            expr = -expr;
+        }
+        Atom { expr, rel: self.rel }
     }
 
     /// Renders with a custom variable printer, as `lhs rel rhs` with the

@@ -172,15 +172,19 @@ impl Conjunction {
         Conjunction::from_atoms(self.atoms.iter().map(|a| a.substitute(v, repl)))
     }
 
-    /// Renames variable `from` to the fresh variable `to`.
-    pub fn rename(&self, from: Var, to: Var) -> Conjunction {
-        Conjunction::from_atoms(self.atoms.iter().map(|a| {
-            if a.mentions(from) {
-                a.rename(from, to)
-            } else {
-                a.clone()
-            }
-        }))
+    /// Renames every variable at once: each `(from, to)` pair sends `from`
+    /// to `to`, and a variable absent from `mapping` keeps its index. The
+    /// map must be injective on the mentioned variables; it may permute
+    /// them freely.
+    ///
+    /// No arithmetic runs: an injective renaming maps distinct atoms to
+    /// distinct non-ground atoms, so the renamed atoms go straight into
+    /// the set with nothing to fold.
+    pub fn rename(&self, mapping: &[(Var, Var)]) -> Conjunction {
+        let to = |v: Var| mapping.iter().find(|(from, _)| *from == v).map_or(v, |&(_, to)| to);
+        let atoms: BTreeSet<Atom> = self.atoms.iter().map(|a| a.map_vars(to)).collect();
+        debug_assert_eq!(atoms.len(), self.atoms.len(), "renaming merged two atoms");
+        Conjunction { atoms }
     }
 
     /// Whether this conjunction entails the atom (`self ⊨ atom`).
@@ -542,11 +546,37 @@ mod tests {
     #[test]
     fn substitution_and_rename() {
         let c = Conjunction::from_atoms([Atom::le(LinExpr::var(x()), LinExpr::var(y()))]);
-        let renamed = c.rename(x(), Var(5));
+        let renamed = c.rename(&[(x(), Var(5))]);
         assert!(!renamed.mentions(x()));
         assert!(renamed.mentions(Var(5)));
+        assert!(renamed.mentions(y()), "an unmapped variable keeps its index");
         let fixed = c.substitute(y(), &LinExpr::constant_int(3));
         assert_eq!(fixed.bounds(x()), Interval::new(None, Some(Bound::closed(ri(3)))));
+    }
+
+    #[test]
+    fn rename_swaps_variables() {
+        // x ≤ y with the swap x ↔ y becomes y ≤ x.
+        let swap = [(x(), y()), (y(), x())];
+        let c = Conjunction::from_atoms([Atom::le(LinExpr::var(x()), LinExpr::var(y()))]);
+        let swapped = c.rename(&swap);
+        assert_eq!(swapped.rename(&swap), c);
+        assert_ne!(swapped, c);
+        // Semantics: swapped holds at (x=2, y=1).
+        let asg = Assignment::from_pairs([(x(), ri(2)), (y(), ri(1))]);
+        assert_eq!(swapped.eval(&asg), Some(true));
+        assert_eq!(c.eval(&asg), Some(false));
+        // An equation whose leading coefficient turns negative is negated
+        // back into canonical form: x - 2y = 0 becomes y - 2x = 0.
+        let eq = Conjunction::from_atoms([Atom::eq(
+            LinExpr::var(x()),
+            LinExpr::term(y(), ri(2)),
+        )]);
+        let expected = Conjunction::from_atoms([Atom::eq(
+            LinExpr::var(y()),
+            LinExpr::term(x(), ri(2)),
+        )]);
+        assert_eq!(eq.rename(&swap), expected);
     }
 
     #[test]

@@ -138,6 +138,16 @@ impl LinExpr {
         }
     }
 
+    /// Re-keys every term through `to` in one pass; coefficients and the
+    /// constant are unchanged. `to` must be injective on the mentioned
+    /// variables, so no two terms merge.
+    pub(crate) fn map_vars(&self, to: impl Fn(Var) -> Var) -> LinExpr {
+        let terms: BTreeMap<Var, Rat> =
+            self.terms.iter().map(|(v, c)| (to(*v), c.clone())).collect();
+        debug_assert_eq!(terms.len(), self.terms.len(), "renaming merged two terms");
+        LinExpr { terms, constant: self.constant.clone() }
+    }
+
     /// Evaluates under a (total, for the mentioned variables) assignment.
     ///
     /// Returns `None` if some mentioned variable is unassigned.

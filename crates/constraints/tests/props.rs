@@ -301,6 +301,66 @@ proptest! {
     }
 }
 
+/// The six orders of x, y, z, as target indices.
+const PERMUTATIONS: [[u32; 3]; 6] =
+    [[0, 1, 2], [0, 2, 1], [1, 0, 2], [1, 2, 0], [2, 0, 1], [2, 1, 0]];
+
+/// Strategy: an injective renaming of x, y, z — a permutation shifted by
+/// 0 (in place) to 4 (into a fresh range). Pairs that fix their variable
+/// are left out, so variables absent from the map are exercised too.
+fn arb_renaming() -> impl Strategy<Value = Vec<(Var, Var)>> {
+    (prop::sample::select(PERMUTATIONS.to_vec()), 0u32..=4).prop_map(|(perm, shift)| {
+        [X, Y, Z]
+            .into_iter()
+            .zip(perm)
+            .map(|(v, p)| (v, Var(p + shift)))
+            .filter(|(from, to)| from != to)
+            .collect()
+    })
+}
+
+/// The reference renaming: each mapped variable moves to a disjoint
+/// temporary range and then to its target, every step a `substitute`
+/// that rebuilds and re-canonicalises the atoms.
+fn two_phase_rename(c: &Conjunction, mapping: &[(Var, Var)]) -> Conjunction {
+    let vars = c.vars();
+    let max = vars.iter().chain(mapping.iter().flat_map(|(a, b)| [a, b])).map(|v| v.0).max();
+    let offset = max.unwrap_or(0) + 1;
+    let mut out = c.clone();
+    for &(from, _) in mapping {
+        out = out.substitute(from, &LinExpr::var(Var(from.0 + offset)));
+    }
+    for &(from, to) in mapping {
+        out = out.substitute(Var(from.0 + offset), &LinExpr::var(to));
+    }
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The one-pass renaming equals the two-phase reference structurally,
+    /// holds at the renamed point exactly where the original holds at the
+    /// original point, and is undone by the inverse map.
+    #[test]
+    fn rename_matches_two_phase_reference(
+        c in prop_oneof![arb_conj(4), arb_stress_conj()],
+        m in arb_renaming(),
+        p in arb_point(),
+    ) {
+        let renamed = c.rename(&m);
+        prop_assert_eq!(&renamed, &two_phase_rename(&c, &m));
+        let to = |v: Var| m.iter().find(|(from, _)| *from == v).map_or(v, |&(_, to)| to);
+        let mut q = Assignment::new();
+        for v in [X, Y, Z] {
+            q.set(to(v), p.get(v).unwrap().clone());
+        }
+        prop_assert_eq!(renamed.eval(&q), c.eval(&p));
+        let inverse: Vec<(Var, Var)> = m.iter().map(|&(from, to)| (to, from)).collect();
+        prop_assert_eq!(renamed.rename(&inverse), c);
+    }
+}
+
 /// Interval algebra properties: intersection is pointwise conjunction, and
 /// membership respects strictness at the endpoints.
 mod interval_props {

@@ -10,7 +10,7 @@
 
 use crate::error::Result;
 use crate::par::{try_flat_map_chunks, ExecCounter, ExecOptions, ExecStats};
-use crate::relation::{remap_vars, HRelation};
+use crate::relation::HRelation;
 use crate::schema::AttrKind;
 use crate::tuple::Tuple;
 use crate::value::Value;
@@ -26,10 +26,10 @@ fn shared_key(t: &Tuple, positions: impl Iterator<Item = usize>) -> Option<Vec<&
 /// Applies the natural join.
 ///
 /// The right side is prepared **once**: each right tuple's constraint is
-/// remapped into output variable positions and its conservative bounding
-/// box computed up front, instead of per pair. The outer (left) loop then
-/// runs on the deterministic chunked executor; pair order — and therefore
-/// output order — matches the serial nested loop exactly.
+/// renamed into output variable positions in one pass and its conservative
+/// bounding box computed up front, instead of per pair. The outer (left)
+/// loop then runs on the deterministic chunked executor; pair order — and
+/// therefore output order — matches the serial nested loop exactly.
 ///
 /// With `bbox_filter` on, a pair whose boxes are provably disjoint skips
 /// the conjoin-and-decide step. Such pairs are exactly unsatisfiable
@@ -52,7 +52,7 @@ pub fn join(
         .iter()
         .map(|a| out_schema.position(&a.name).expect("join schema covers right"))
         .collect();
-    // Right constraint vars remapped to output positions.
+    // Right constraint vars renamed to output positions.
     let mapping: Vec<(Var, Var)> = rs
         .constraint_positions()
         .map(|i| (rs.var(i), Var(right_to_out[i] as u32)))
@@ -66,12 +66,12 @@ pub fn join(
         .map(|(i, a)| (i, rs.position(&a.name).expect("contains")))
         .collect();
 
-    // Hoisted right-side preparation (remap + box, once per right tuple).
+    // Hoisted right-side preparation (rename + box, once per right tuple).
     let rights: Vec<(&Tuple, Conjunction, QuickBox)> = right
         .tuples()
         .iter()
         .map(|rt| {
-            let conj = remap_vars(rt.constraint(), &mapping);
+            let conj = rt.constraint().rename(&mapping);
             let bx = conj.quick_box(arity);
             (rt, conj, bx)
         })
@@ -131,7 +131,7 @@ pub fn join(
                     }
                 }
                 // Constraints: left part keeps its positions; the
-                // (pre-remapped) right part is conjoined. Shared constraint
+                // (pre-renamed) right part is conjoined. Shared constraint
                 // attributes thereby intersect.
                 let conj = lt.constraint().and(rconj);
                 match conj.is_satisfiable_budgeted(&budget) {

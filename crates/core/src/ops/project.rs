@@ -8,7 +8,7 @@
 
 use crate::error::Result;
 use crate::par::{ExecOptions, ExecStats};
-use crate::relation::{remap_vars, HRelation};
+use crate::relation::HRelation;
 use crate::schema::AttrKind;
 use crate::tuple::Tuple;
 use cqa_constraints::Var;
@@ -79,7 +79,7 @@ pub fn project(
         if conj.is_trivially_false() {
             continue;
         }
-        let conj = remap_vars(&conj, &mapping);
+        let conj = conj.rename(&mapping);
         out.insert(Tuple::from_parts(values, conj));
     }
     out.dedup();

@@ -18,6 +18,12 @@
 //!                        per term (var index, coefficient), constant
 //! rational:            numerator bytes, denominator bytes (BigInt encoding)
 //! ```
+//!
+//! A tuple record must fit its schema: a constraint attribute's slot is
+//! absent, a relational slot holds absent or a value of the attribute's
+//! type, and every atom names constraint attributes only. A record that
+//! breaks this decodes to [`PersistError::Corrupt`], so no operator ever
+//! meets a tuple that the tuple builder would have refused.
 
 use crate::error::CoreError;
 use crate::relation::HRelation;
@@ -181,13 +187,22 @@ fn decode_schema(bytes: &[u8]) -> PResult<Schema> {
 fn decode_tuple(schema: &Schema, bytes: &[u8]) -> PResult<Tuple> {
     let mut r = Reader::new(bytes);
     let mut values: Vec<Option<Value>> = Vec::with_capacity(schema.arity().min(bytes.len()));
-    for _ in 0..schema.arity() {
-        match r.u8()? {
-            0 => values.push(None),
-            1 => values.push(Some(Value::Str(r.str()?.to_string()))),
-            2 => values.push(Some(Value::Rat(read_rat(&mut r)?))),
+    for a in schema.attrs() {
+        let value = match r.u8()? {
+            0 => None,
+            1 => Some(Value::Str(r.str()?.to_string())),
+            2 => Some(Value::Rat(read_rat(&mut r)?)),
             _ => return Err(PersistError::Corrupt("bad value tag")),
+        };
+        match (&value, a.kind, a.ty) {
+            (None, _, _) => {}
+            (Some(_), AttrKind::Constraint, _) => {
+                return Err(PersistError::Corrupt("value at a constraint attribute"))
+            }
+            (Some(Value::Str(_)), _, AttrType::Str) | (Some(Value::Rat(_)), _, AttrType::Rat) => {}
+            (Some(_), _, _) => return Err(PersistError::Corrupt("value of the wrong type")),
         }
+        values.push(value);
     }
     let atom_count = r.u32()? as usize;
     let mut conj = Conjunction::tru();
@@ -202,8 +217,12 @@ fn decode_tuple(schema: &Schema, bytes: &[u8]) -> PResult<Tuple> {
         let mut expr = LinExpr::zero();
         for _ in 0..term_count {
             let var = r.u32()?;
-            if var as usize >= schema.arity() {
-                return Err(PersistError::Corrupt("atom variable out of schema range"));
+            match schema.attrs().get(var as usize) {
+                None => return Err(PersistError::Corrupt("atom variable out of schema range")),
+                Some(a) if a.kind != AttrKind::Constraint => {
+                    return Err(PersistError::Corrupt("atom names a relational attribute"))
+                }
+                Some(_) => {}
             }
             let coeff = read_rat(&mut r)?;
             expr.add_term(Var(var), coeff);
@@ -355,6 +374,49 @@ mod tests {
             load_relation(&empty, &mut pool),
             Err(PersistError::Corrupt("empty relation file"))
         ));
+
+        // Well-formed records that break the schema (name: string,
+        // count: rational, x: constraint). A record is its slot tags (with
+        // the string "a" or the rational 1 behind tags 1 and 2) and at most
+        // one atom `v ≤ 1`.
+        let schema = Schema::new(vec![
+            AttrDef::str_rel("name"),
+            AttrDef::rat_rel("count"),
+            AttrDef::rat_con("x"),
+        ])
+        .unwrap();
+        let cases: [([u8; 3], Option<u32>, &str); 4] = [
+            ([0, 0, 2], None, "value at a constraint attribute"),
+            ([0, 1, 0], None, "value of the wrong type"),
+            ([2, 0, 0], None, "value of the wrong type"),
+            ([0, 0, 0], Some(1), "atom names a relational attribute"),
+        ];
+        for (tags, atom_var, why) in cases {
+            let mut w = Writer::new();
+            for tag in tags {
+                w.u8(tag);
+                match tag {
+                    1 => {
+                        w.str("a");
+                    }
+                    2 => write_rat(&mut w, &Rat::one()),
+                    _ => {}
+                }
+            }
+            w.u32(atom_var.is_some() as u32);
+            if let Some(v) = atom_var {
+                w.u8(1).u32(1).u32(v); // `≤`, one term: v
+                write_rat(&mut w, &Rat::one());
+                write_rat(&mut w, &-Rat::one());
+            }
+            let mut heap = HeapFile::create();
+            heap.insert(&mut pool, &encode_schema(&schema)).unwrap();
+            heap.insert(&mut pool, &w.finish()).unwrap();
+            match load_relation(&heap, &mut pool) {
+                Err(PersistError::Corrupt(what)) => assert_eq!(what, why),
+                other => panic!("{why}: expected Corrupt, got {other:?}"),
+            }
+        }
     }
 
     #[test]

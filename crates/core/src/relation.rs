@@ -9,7 +9,7 @@ use crate::error::Result;
 use crate::schema::Schema;
 use crate::tuple::Tuple;
 use crate::value::Value;
-use cqa_constraints::{Conjunction, Var};
+use cqa_constraints::Var;
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -127,38 +127,10 @@ impl fmt::Display for HRelation {
     }
 }
 
-/// Remaps a conjunction's variables simultaneously: `mapping[i] = j` sends
-/// `Var(i)` to `Var(j)`. Entries may permute freely; a two-phase rename
-/// through a disjoint temporary range makes the substitution simultaneous.
-pub(crate) fn remap_vars(conj: &Conjunction, mapping: &[(Var, Var)]) -> Conjunction {
-    let max_var = conj
-        .vars()
-        .iter()
-        .map(|v| v.0)
-        .chain(mapping.iter().flat_map(|(a, b)| [a.0, b.0]))
-        .max()
-        .unwrap_or(0);
-    let offset = max_var + 1;
-    let mut out = conj.clone();
-    for (from, _) in mapping {
-        if out.mentions(*from) {
-            out = out.rename(*from, Var(from.0 + offset));
-        }
-    }
-    for (from, to) in mapping {
-        if out.mentions(Var(from.0 + offset)) {
-            out = out.rename(Var(from.0 + offset), *to);
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::schema::AttrDef;
-    use cqa_constraints::{Atom, LinExpr};
-    use cqa_num::Rat;
 
     #[test]
     fn insert_and_membership() {
@@ -183,26 +155,6 @@ mod tests {
         assert_eq!(r.len(), 2);
         r.drop_unsatisfiable();
         assert_eq!(r.len(), 1);
-    }
-
-    #[test]
-    fn remap_swaps_variables() {
-        // x0 ≤ x1 with swap 0↔1 becomes x1 ≤ x0.
-        let conj = Conjunction::from_atoms([Atom::le(
-            LinExpr::var(Var(0)),
-            LinExpr::var(Var(1)),
-        )]);
-        let swapped = remap_vars(&conj, &[(Var(0), Var(1)), (Var(1), Var(0))]);
-        let back = remap_vars(&swapped, &[(Var(0), Var(1)), (Var(1), Var(0))]);
-        assert_eq!(conj, back);
-        assert_ne!(conj, swapped);
-        // Semantics: swapped holds at (x0=2, x1=1).
-        let asg = cqa_constraints::Assignment::from_pairs([
-            (Var(0), Rat::from_int(2)),
-            (Var(1), Rat::from_int(1)),
-        ]);
-        assert_eq!(swapped.eval(&asg), Some(true));
-        assert_eq!(conj.eval(&asg), Some(false));
     }
 
     #[test]

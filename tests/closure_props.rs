@@ -117,6 +117,8 @@ proptest! {
         let (opts, stats) = (ExecOptions::default(), ExecStats::new());
         let rel = materialize(&descs);
         let out = ops::project(&rel, &["id".into(), "x".into()], &opts, &stats).unwrap();
+        // The reversed order moves x to a lower variable position.
+        let reversed = ops::project(&rel, &["x".into(), "id".into()], &opts, &stats).unwrap();
         for p in sample_points() {
             let shadow = [p[0].clone(), p[1].clone()];
             // Shadow membership: ∃y at this (id, x). Our y-extents all lie
@@ -132,6 +134,8 @@ proptest! {
                 }
             }
             prop_assert_eq!(out.contains_point(&shadow).unwrap(), exists, "shadow {:?}", shadow);
+            let flipped = [p[1].clone(), p[0].clone()];
+            prop_assert_eq!(reversed.contains_point(&flipped).unwrap(), exists, "{:?}", flipped);
         }
     }
 
@@ -168,11 +172,15 @@ proptest! {
         // paper's remark under the Natural-Join definition).
         let (ra, rb) = (materialize(&a), materialize(&b));
         let out = ops::join(&ra, &rb, &opts, &stats).unwrap();
+        // The right operand reordered to [y, x, id] (no elimination): the
+        // join must rename its variables back into the left's positions.
+        let names = ["y".into(), "x".into(), "id".into()];
+        let rb_reordered = ops::project(&rb, &names, &opts, &stats).unwrap();
+        let out_reordered = ops::join(&ra, &rb_reordered, &opts, &stats).unwrap();
         for p in sample_points() {
-            prop_assert_eq!(
-                out.contains_point(&p).unwrap(),
-                ra.contains_point(&p).unwrap() && rb.contains_point(&p).unwrap()
-            );
+            let both = ra.contains_point(&p).unwrap() && rb.contains_point(&p).unwrap();
+            prop_assert_eq!(out.contains_point(&p).unwrap(), both);
+            prop_assert_eq!(out_reordered.contains_point(&p).unwrap(), both);
         }
     }
 
