@@ -47,5 +47,5 @@ pub use conj::Conjunction;
 pub use dnf::Dnf;
 pub use interval::{Bound, Interval};
 pub use linexpr::LinExpr;
-pub use quickbox::QuickBox;
+pub use quickbox::{BoxSeed, QuickBox};
 pub use var::Var;

@@ -42,6 +42,14 @@
 //! filter needs. The property suite checks the implication against the
 //! exact solver, and the box against the exact per-variable bounds.
 //!
+//! The first step alone is a [`BoxSeed`]. Seeds of two conjunctions meet
+//! into the seed of their conjunction, so `select` finds the box of each
+//! residual `tuple ∧ window` from the tuple's seed and a window seed made
+//! once, without building the residual. Meeting the *propagated* boxes
+//! instead would not do: a propagated bound's widening grows with the
+//! finite magnitudes of the box it starts from, so the residual's box can
+//! be looser than the intersection of its parts' boxes.
+//!
 //! For a survivor that is itself a box system (every atom on one
 //! variable), the exact check that follows is cheap too:
 //! [`crate::fourier_motzkin::eliminate`] decides it from the same
@@ -213,6 +221,58 @@ fn revise(bx: &mut QuickBox, terms: &[(usize, f64)], k: f64, eq: bool) {
     }
 }
 
+/// [`Conjunction::quick_box`] before its propagation step: the box the
+/// single-variable atoms give, and the multi-variable atoms left to
+/// propagate, in canonical order.
+///
+/// Seeds [`meet`](BoxSeed::meet) like the conjunctions they come from:
+/// `a.box_seed(n).meet(&b.box_seed(n)).finish()` is
+/// `a.and(&b).quick_box(n)` bit for bit, because the single-variable
+/// pass is a per-dimension `max`/`min` over the same per-atom bounds in
+/// any order, and the merged atom list is `a ∧ b`'s. So a seed computed
+/// once (a selection's window, say) gives the box of its conjunction
+/// with many others without building any of those conjunctions.
+#[derive(Debug, Clone)]
+pub struct BoxSeed<'a> {
+    bx: QuickBox,
+    multi: Vec<&'a Atom>,
+}
+
+impl<'a> BoxSeed<'a> {
+    /// The seed of the conjunction of both seeds' conjunctions, which
+    /// must share an arity.
+    pub fn meet(mut self, other: &BoxSeed<'a>) -> BoxSeed<'a> {
+        debug_assert_eq!(self.bx.arity(), other.bx.arity());
+        for (lo, other) in self.bx.lo.iter_mut().zip(&other.bx.lo) {
+            *lo = lo.max(*other);
+        }
+        for (hi, other) in self.bx.hi.iter_mut().zip(&other.bx.hi) {
+            *hi = hi.min(*other);
+        }
+        if !other.multi.is_empty() {
+            // Canonical order, an atom in both kept once: `a ∧ b`'s atoms.
+            self.multi.extend(&other.multi);
+            self.multi.sort_unstable();
+            self.multi.dedup();
+        }
+        self
+    }
+
+    /// Propagates over the multi-variable atoms, giving the conjunction's
+    /// [`QuickBox`].
+    pub fn finish(self) -> QuickBox {
+        let mut bx = self.bx;
+        if !self.multi.is_empty() && !bx.is_known_empty() {
+            let mut rows = Rows::default();
+            for atom in self.multi {
+                rows.push(atom, bx.arity());
+            }
+            rows.propagate(&mut bx);
+        }
+        bx
+    }
+}
+
 impl Conjunction {
     /// Computes the conservative [`QuickBox`] over `Var(0) .. Var(arity)`.
     ///
@@ -221,18 +281,23 @@ impl Conjunction {
     /// atoms, two passes of `f64` interval propagation over them. No
     /// Fourier–Motzkin.
     pub fn quick_box(&self, arity: usize) -> QuickBox {
+        self.box_seed(arity).finish()
+    }
+
+    /// The single-variable pass of [`Self::quick_box`], as a [`BoxSeed`].
+    pub fn box_seed(&self, arity: usize) -> BoxSeed<'_> {
         let mut bx = QuickBox::full(arity);
-        let mut rows = Rows::default();
+        let mut multi = Vec::new();
         for atom in self.atoms() {
             if atom.is_trivially_false() {
-                return QuickBox::empty(arity);
+                return BoxSeed { bx: QuickBox::empty(arity), multi: Vec::new() };
             }
             let expr = atom.expr();
             match expr.arity() {
                 0 => continue, // ground and not false: true
                 1 => {}
                 _ => {
-                    rows.push(atom, arity);
+                    multi.push(atom);
                     continue;
                 }
             }
@@ -261,10 +326,7 @@ impl Conjunction {
                 }
             }
         }
-        if !rows.rows.is_empty() && !bx.is_known_empty() {
-            rows.propagate(&mut bx);
-        }
-        bx
+        BoxSeed { bx, multi }
     }
 
     /// `true` only when `self ∧ other` is provably unsatisfiable by the
@@ -405,6 +467,36 @@ mod tests {
         let mut c = range_conj(X, 0, 1);
         c.add(Atom::eq(LinExpr::var(Y), LinExpr::var(X)));
         assert_eq!(c.quick_box(1).dim(0), range_conj(X, 0, 1).quick_box(1).dim(0));
+    }
+
+    /// T: `x + y ≤ 0, y ∈ [−200, 1]`; W: `y ≤ −100, x ≥ 200 + 17/20000000`.
+    /// Their boxes are disjoint in `x`, but T ∧ W starts from a tighter box
+    /// whose finite sides (`y ≤ −100`, `x ≥ 200…`) widen the propagated
+    /// bound `x ≤ −y` by more, so the box of T ∧ W is not known-empty.
+    /// Disjoint boxes prove T ∧ W unsatisfiable; they do not make its box
+    /// empty, which is why `BoxSeed::meet` exists.
+    #[test]
+    fn tighter_start_can_propagate_looser() {
+        let t = Conjunction::from_atoms([
+            Atom::le(
+                LinExpr::from_terms([(X, Rat::one()), (Y, Rat::one())], Rat::zero()),
+                LinExpr::zero(),
+            ),
+            Atom::ge(LinExpr::var(Y), LinExpr::constant_int(-200)),
+            Atom::le(LinExpr::var(Y), LinExpr::constant_int(1)),
+        ]);
+        let w = Conjunction::from_atoms([
+            Atom::le(LinExpr::var(Y), LinExpr::constant_int(-100)),
+            Atom::ge(
+                LinExpr::var(X),
+                LinExpr::constant(Rat::from_int(200) + Rat::from_pair(17, 20_000_000)),
+            ),
+        ]);
+        assert!(t.quick_disjoint(&w, 2));
+        assert!(!t.and(&w).is_satisfiable());
+        let met = t.box_seed(2).meet(&w.box_seed(2)).finish();
+        assert!(!met.is_known_empty());
+        assert_eq!(met, t.and(&w).quick_box(2));
     }
 
     #[test]

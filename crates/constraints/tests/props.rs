@@ -301,6 +301,47 @@ proptest! {
     }
 }
 
+/// Strategy: a selection window — up to three single-variable atoms and
+/// up to two atoms over one to three of x, y, z.
+fn arb_window() -> impl Strategy<Value = Conjunction> {
+    (prop::collection::vec(arb_box_atom(), 0..=3), prop::collection::vec(arb_atom(), 0..=2))
+        .prop_map(|(single, multi)| Conjunction::from_atoms(single.into_iter().chain(multi)))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// `select` rejects a tuple `t` on the box of its residual `t ∧ w ∧ p`
+    /// (window `w`, per-tuple atoms `p`), met from the parts' seeds
+    /// without building the residual. Its filter counters equal those of
+    /// building every residual first iff the met box *is* the residual's
+    /// box, which this pins bit for bit. It holds because the
+    /// single-variable pass is a per-dimension `max`/`min` over the same
+    /// per-atom bounds in any order, so the residual's seed box is the
+    /// intersection T ∩ W ∩ P of the parts' seed boxes, and propagation
+    /// then runs over the same multi-variable rows in the same canonical
+    /// order.
+    ///
+    /// The residual's *propagated* box need not lie inside the
+    /// intersection of the parts' propagated boxes: a propagated bound's
+    /// widening grows with the finite magnitudes of the box it starts
+    /// from, so a tighter start can end looser. Rejecting on
+    /// `quick_box(t).disjoint(&quick_box(w))` would therefore reject some
+    /// tuples whose residual box is not empty — still only unsatisfiable
+    /// ones, but counted differently (see the `quickbox` unit test
+    /// `tighter_start_can_propagate_looser`).
+    #[test]
+    fn box_seeds_meet_to_the_residual_box(
+        t in prop_oneof![arb_conj(4), arb_stress_conj()],
+        w in prop_oneof![arb_window(), arb_stress_conj()],
+        p in arb_conj(2),
+    ) {
+        let n = 3;
+        let met = t.box_seed(n).meet(&w.box_seed(n)).meet(&p.box_seed(n)).finish();
+        prop_assert_eq!(&met, &t.and(&w).and(&p).quick_box(n), "{} and {} and {}", t, w, p);
+    }
+}
+
 /// The six orders of x, y, z, as target indices.
 const PERMUTATIONS: [[u32; 3]; 6] =
     [[0, 1, 2], [0, 2, 1], [1, 0, 2], [1, 2, 0], [2, 0, 1], [2, 1, 0]];

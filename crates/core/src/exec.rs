@@ -648,11 +648,8 @@ fn try_index_select(
     }
 
     // Exact refinement on the candidates only, preserving scan order.
-    let mut filtered = HRelation::new(rel.schema().clone());
-    for i in candidates {
-        filtered.insert(rel.tuples()[i].clone());
-    }
-    Ok(Some((ops::select(&filtered, selection, opts, stats)?, via)))
+    let candidates: Vec<&Tuple> = candidates.into_iter().map(|i| &rel.tuples()[i]).collect();
+    Ok(Some((ops::select::select_tuples(schema, &candidates, selection, opts, stats)?, via)))
 }
 
 /// Schema of whole-feature operator outputs: two relational string

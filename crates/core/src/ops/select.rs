@@ -213,41 +213,81 @@ pub fn validate(schema: &Schema, selection: &Selection) -> Result<()> {
 
 /// Applies `ς_ξ` to a relation.
 ///
-/// Tuples are independent, so the outer loop runs on the deterministic
-/// chunked executor; output order matches the serial evaluation exactly.
-/// With `bbox_filter` on, a tuple whose residual conjunction has a
-/// float-empty [`cqa_constraints::QuickBox`] is rejected without the
-/// exact satisfiability check — the box is an outward approximation, so
-/// this skips only tuples the exact check would reject too (bit-identical
-/// output either way).
+/// ξ is split once per call. A linear predicate over constraint
+/// attributes only is the same for every tuple: a constant one is
+/// decided here, and the others' atoms form the *window* conjunction W.
+/// String, relational and mixed predicates are evaluated per tuple, and
+/// each tuple `t` is then processed in this order:
+///
+/// 1. the per-tuple predicates: a failed one rejects `t` (uncounted),
+///    a mixed one leaves residual atoms P;
+/// 2. with `bbox_filter` on, the residual's [`cqa_constraints::QuickBox`]:
+///    the box of `t ∧ W ∧ P` is met from the seeds of its parts
+///    ([`cqa_constraints::BoxSeed`], W's seed computed once), so a tuple
+///    whose residual box is empty is counted as checked and rejected
+///    without building or cloning anything;
+/// 3. the residual `t ∧ W ∧ P` is built and checked exactly.
+///
+/// The box is an outward approximation, so step 2 skips only tuples the
+/// exact check would reject too, and it is bit for bit the box of the
+/// built residual, so output and counters equal those of building every
+/// residual first (a test keeps that loop as its reference). The outer
+/// loop runs on the deterministic chunked executor; output order matches
+/// the serial evaluation exactly.
 pub fn select(
     rel: &HRelation,
     selection: &Selection,
     opts: &ExecOptions,
     stats: &ExecStats,
 ) -> Result<HRelation> {
-    validate(rel.schema(), selection)?;
-    let schema = rel.schema();
+    let tuples: Vec<&Tuple> = rel.tuples().iter().collect();
+    select_tuples(rel.schema(), &tuples, selection, opts, stats)
+}
+
+/// [`select`] over borrowed tuples of a relation with `schema`, e.g. an
+/// index's candidates.
+pub(crate) fn select_tuples(
+    schema: &Schema,
+    tuples: &[&Tuple],
+    selection: &Selection,
+    opts: &ExecOptions,
+    stats: &ExecStats,
+) -> Result<HRelation> {
+    validate(schema, selection)?;
     let arity = schema.arity();
     let governor = &opts.governor;
     let budget = governor.budget(stats);
+    let split = Split::new(schema, selection)?;
+    let window = &split.window;
+    let window_seed = opts.bbox_filter.then(|| window.box_seed(arity));
     let produced: Vec<Result<Option<Tuple>>> =
-        try_map_chunks(rel.tuples(), opts.effective_threads(), Some(governor.token()), |tuple| {
+        try_map_chunks(tuples, opts.effective_threads(), Some(governor.token()), |&tuple| {
             governor.check()?;
-            let mut residual: Conjunction = tuple.constraint().clone();
-            for pred in selection.predicates() {
+            if split.never {
+                return Ok(None);
+            }
+            let mut extra = Conjunction::tru();
+            for pred in &split.per_tuple {
                 match apply_predicate(schema, tuple, pred)? {
                     Applied::Reject => return Ok(None),
                     Applied::Accept => {}
-                    Applied::Residual(atom) => residual.add(atom),
+                    Applied::Residual(atom) => extra.add(atom),
                 }
             }
-            if opts.bbox_filter {
+            if let Some(window_seed) = &window_seed {
                 stats.add(ExecCounter::FilterChecked, 1);
-                if residual.quick_box(arity).is_known_empty() {
+                let mut seed = tuple.constraint().box_seed(arity).meet(window_seed);
+                if !extra.is_empty() {
+                    seed = seed.meet(&extra.box_seed(arity));
+                }
+                if seed.finish().is_known_empty() {
                     stats.add(ExecCounter::FilterRejected, 1);
                     return Ok(None);
                 }
+            }
+            let mut residual = tuple.constraint().and(window);
+            for atom in extra.atoms() {
+                residual.add(atom.clone());
             }
             if residual.is_satisfiable_budgeted(&budget)? {
                 Ok(Some(Tuple::from_parts(tuple.values().to_vec(), residual)))
@@ -263,6 +303,44 @@ pub fn select(
         }
     }
     Ok(out)
+}
+
+/// A selection split for one call into what every tuple shares and what
+/// depends on the tuple.
+struct Split<'s> {
+    /// A constant predicate is false, so no tuple passes.
+    never: bool,
+    /// The atoms of the non-constant linear predicates over constraint
+    /// attributes only.
+    window: Conjunction,
+    /// The string, relational and mixed predicates, in order.
+    per_tuple: Vec<&'s Predicate>,
+}
+
+impl<'s> Split<'s> {
+    fn new(schema: &Schema, selection: &'s Selection) -> Result<Split<'s>> {
+        let mut split = Split { never: false, window: Conjunction::tru(), per_tuple: Vec::new() };
+        for pred in selection.predicates() {
+            let Predicate::Linear { terms, constant, op } = pred else {
+                split.per_tuple.push(pred);
+                continue;
+            };
+            let constraint_only = terms.iter().all(|(name, _)| {
+                schema.attr(name).is_ok_and(|def| def.kind == AttrKind::Constraint)
+            });
+            if !constraint_only {
+                split.per_tuple.push(pred);
+                continue;
+            }
+            let expr = linear_expr(schema, terms, constant, None)?.expect("no tuple, so no null");
+            match decide(expr, *op)? {
+                Applied::Reject => split.never = true,
+                Applied::Accept => {}
+                Applied::Residual(atom) => split.window.add(atom),
+            }
+        }
+        Ok(split)
+    }
 }
 
 fn apply_predicate(schema: &Schema, tuple: &Tuple, pred: &Predicate) -> Result<Applied> {
@@ -297,30 +375,34 @@ fn apply_predicate(schema: &Schema, tuple: &Tuple, pred: &Predicate) -> Result<A
             let Some(expr) = linear_expr(schema, terms, constant, Some(tuple))? else {
                 return Ok(Applied::Reject); // null: narrow
             };
-            let atom = match linear_atom(expr, *op) {
-                Ok(atom) => atom,
-                // ≠ requires a ground (fully relational) expression.
-                Err(expr) => {
-                    if !expr.is_constant() {
-                        return Err(CoreError::BadPredicate(
-                            "<> over constraint attributes is not a linear constraint"
-                                .to_string(),
-                        ));
-                    }
-                    return Ok(if expr.constant_term().is_zero() {
-                        Applied::Reject
-                    } else {
-                        Applied::Accept
-                    });
-                }
-            };
-            // Ground atoms decide immediately; others join the residual.
-            if let Some(truth) = atom.ground_truth() {
-                return Ok(if truth { Applied::Accept } else { Applied::Reject });
-            }
-            Ok(Applied::Residual(atom))
+            decide(expr, *op)
         }
     }
+}
+
+/// `expr op 0`: a ground comparison decides, others leave their atom.
+fn decide(expr: LinExpr, op: CmpOp) -> Result<Applied> {
+    let atom = match linear_atom(expr, op) {
+        Ok(atom) => atom,
+        // ≠ requires a ground (fully relational) expression.
+        Err(expr) => {
+            if !expr.is_constant() {
+                return Err(CoreError::BadPredicate(
+                    "<> over constraint attributes is not a linear constraint".to_string(),
+                ));
+            }
+            return Ok(if expr.constant_term().is_zero() {
+                Applied::Reject
+            } else {
+                Applied::Accept
+            });
+        }
+    };
+    Ok(match atom.ground_truth() {
+        Some(true) => Applied::Accept,
+        Some(false) => Applied::Reject,
+        None => Applied::Residual(atom),
+    })
 }
 
 /// `Σ coeffᵢ·attrᵢ + constant` over the schema's constraint variables,
@@ -375,6 +457,7 @@ pub(crate) fn linear_atom(expr: LinExpr, op: CmpOp) -> std::result::Result<Atom,
 mod tests {
     use super::*;
     use crate::schema::AttrDef;
+    use cqa_constraints::Var;
 
     /// [`select`] with default options and throwaway counters.
     fn run(rel: &HRelation, selection: &Selection) -> Result<HRelation> {
@@ -501,5 +584,187 @@ mod tests {
         let out = run(&r, &Selection::all().cmp_int("age", CmpOp::Ne, 40)).unwrap();
         assert_eq!(out.len(), 1);
         assert_eq!(out.tuples()[0].value(0), Some(&Value::int(41)));
+    }
+
+    /// The per-tuple loop `select` had before ξ was split: every tuple's
+    /// residual is built from its conjunction and every predicate, then
+    /// filtered on its box, then checked exactly.
+    fn reference_select(
+        rel: &HRelation,
+        selection: &Selection,
+        opts: &ExecOptions,
+        stats: &ExecStats,
+    ) -> Result<HRelation> {
+        validate(rel.schema(), selection)?;
+        let schema = rel.schema();
+        let budget = opts.governor.budget(stats);
+        let mut out = HRelation::new(schema.clone());
+        'tuples: for tuple in rel.tuples() {
+            let mut residual = tuple.constraint().clone();
+            for pred in selection.predicates() {
+                match apply_predicate(schema, tuple, pred)? {
+                    Applied::Reject => continue 'tuples,
+                    Applied::Accept => {}
+                    Applied::Residual(atom) => residual.add(atom),
+                }
+            }
+            if opts.bbox_filter {
+                stats.add(ExecCounter::FilterChecked, 1);
+                if residual.quick_box(schema.arity()).is_known_empty() {
+                    stats.add(ExecCounter::FilterRejected, 1);
+                    continue;
+                }
+            }
+            if residual.is_satisfiable_budgeted(&budget)? {
+                out.insert(Tuple::from_parts(tuple.values().to_vec(), residual));
+            }
+        }
+        Ok(out)
+    }
+
+    /// `[id: string relational, a: rational relational, x, y: rational
+    /// constraint]`.
+    fn mixed_schema() -> Schema {
+        Schema::new(vec![
+            AttrDef::str_rel("id"),
+            AttrDef::rat_rel("a"),
+            AttrDef::rat_con("x"),
+            AttrDef::rat_con("y"),
+        ])
+        .unwrap()
+    }
+
+    /// `Σ terms + constant op 0` over the named attributes.
+    fn linear(terms: &[(&str, i64)], constant: i64, op: CmpOp) -> Predicate {
+        Predicate::Linear {
+            terms: terms.iter().map(|&(n, c)| (n.to_string(), Rat::from_int(c))).collect(),
+            constant: Rat::from_int(constant),
+            op,
+        }
+    }
+
+    /// [`select`] and [`reference_select`] agree on output tuples, their
+    /// order, and every executor counter, at threads 1 and 2 with the box
+    /// filter on and off.
+    fn assert_matches_reference(rel: &HRelation, selection: &Selection) {
+        for threads in [1, 2] {
+            for bbox_filter in [false, true] {
+                let opts = ExecOptions { threads, bbox_filter, ..ExecOptions::default() };
+                let (got_stats, want_stats) = (ExecStats::new(), ExecStats::new());
+                let got = select(rel, selection, &opts, &got_stats).unwrap();
+                let want = reference_select(rel, selection, &opts, &want_stats).unwrap();
+                assert_eq!(got.tuples(), want.tuples(), "{:?}", selection);
+                assert_eq!(got_stats.values(), want_stats.values(), "{:?}", selection);
+            }
+        }
+    }
+
+    #[test]
+    fn constant_predicates_decide_every_tuple() {
+        let mut r = HRelation::new(mixed_schema());
+        r.insert_with(|b| b.set("id", "p").range("x", 0, 4)).unwrap();
+        r.insert_with(|b| b.set("a", 2).range("x", 6, 10)).unwrap();
+        let x_ge_5 = Selection::all().cmp_int("x", CmpOp::Ge, 5);
+        // 1 = 2, 1 <> 2 and 1 <> 1, each as `constant op 0`.
+        for (constant, op, passes) in
+            [(-1, CmpOp::Eq, false), (-1, CmpOp::Ne, true), (0, CmpOp::Ne, false)]
+        {
+            let sel = x_ge_5.clone().with(linear(&[], constant, op));
+            assert_matches_reference(&r, &sel);
+            assert_eq!(run(&r, &sel).unwrap().len(), usize::from(passes), "{:?}", sel);
+        }
+    }
+
+    mod differential {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// A tuple: `id` (`"p"`/`"q"`) and `a`, each possibly null; a
+        /// shape for `x` and `y`; and four small integers for its bounds.
+        type TupleSpec = (Option<bool>, Option<i64>, u8, [i64; 4]);
+
+        /// `x` and `y` free, `x` in a range, both in ranges, or `x` in a
+        /// range and tied to `y` by `x + c·y <= k`.
+        fn arb_tuple() -> impl Strategy<Value = TupleSpec> {
+            (
+                prop::option::of(any::<bool>()),
+                prop::option::of(-3i64..=3),
+                0u8..4,
+                (-6i64..=6, 0i64..=6, -6i64..=6, 0i64..=6),
+            )
+                .prop_map(|(id, a, shape, (p, q, s, w))| (id, a, shape, [p, q, s, w]))
+        }
+
+        fn build(tuples: &[TupleSpec]) -> HRelation {
+            let mut r = HRelation::new(mixed_schema());
+            for &(id, a, shape, [p, q, s, w]) in tuples {
+                r.insert_with(|mut b| {
+                    if let Some(id) = id {
+                        b = b.set("id", if id { "p" } else { "q" });
+                    }
+                    if let Some(a) = a {
+                        b = b.set("a", a);
+                    }
+                    match shape {
+                        0 => b,
+                        1 => b.range("x", p, p + q),
+                        2 => b.range("x", p, p + q).range("y", s, s + w),
+                        _ => b.range("x", p, p + q).atom(Atom::le(
+                            LinExpr::from_terms(
+                                [(Var(2), Rat::one()), (Var(3), Rat::from_int(w - 3))],
+                                Rat::zero(),
+                            ),
+                            LinExpr::constant_int(s),
+                        )),
+                    }
+                })
+                .unwrap();
+            }
+            r
+        }
+
+        /// One conjunct of each kind: constraint-only on one or two
+        /// variables, relational, mixed, string, and constant-only.
+        fn arb_predicate() -> impl Strategy<Value = Predicate> {
+            let op =
+                prop::sample::select(vec![CmpOp::Eq, CmpOp::Le, CmpOp::Lt, CmpOp::Ge, CmpOp::Gt]);
+            let any_op = prop::sample::select(vec![
+                CmpOp::Eq,
+                CmpOp::Ne,
+                CmpOp::Le,
+                CmpOp::Lt,
+                CmpOp::Ge,
+                CmpOp::Gt,
+            ]);
+            (0u8..8, op, any_op, -6i64..=6, -2i64..=2).prop_map(|(kind, op, any_op, k, c)| {
+                match kind {
+                    0 => linear(&[("x", 1)], -k, op),
+                    1 => linear(&[("y", 1)], -k, op),
+                    2 => linear(&[("x", 1), ("y", c)], k, op),
+                    3 => linear(&[("a", 1)], -k, any_op),
+                    4 => linear(&[("x", 1), ("a", -1)], k, op),
+                    5 => linear(&[("x", 1), ("y", c), ("a", 1)], k, op),
+                    6 => Predicate::Str {
+                        attr: "id".to_string(),
+                        op: if c < 0 { CmpOp::Ne } else { CmpOp::Eq },
+                        value: "p".to_string(),
+                    },
+                    _ => linear(&[], k.signum(), any_op),
+                }
+            })
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            #[test]
+            fn select_matches_the_build_every_residual_loop(
+                tuples in prop::collection::vec(arb_tuple(), 0..12),
+                preds in prop::collection::vec(arb_predicate(), 0..5),
+            ) {
+                let sel = preds.into_iter().fold(Selection::all(), Selection::with);
+                assert_matches_reference(&build(&tuples), &sel);
+            }
+        }
     }
 }

@@ -140,3 +140,27 @@ fn coordinates_beyond_f64_range_load_and_query() {
     let near = runner.run("B = bufferjoin Pts and Pts distance 1\n").unwrap();
     assert!(near.len() >= 150, "every feature is within 1 of itself");
 }
+
+/// Constant-only conjuncts are decided once per selection, exactly as a
+/// per-tuple evaluation decides them: `1 <> 2` passes every tuple, while
+/// `1 <> 1` and `1 = 2` pass none. `<>` has no linear atom, so the
+/// constant `1 <> 2` must be decided from its expression, not as an atom.
+#[test]
+fn constant_conjuncts_decide_like_per_tuple_predicates() {
+    let mut catalog = cqa_core::Catalog::new();
+    parse_cdb(
+        "relation R { id: string relational; x: rational constraint; }\n\
+         tuple R { id = \"a\"; x >= 0; x <= 4 }\n\
+         tuple R { id = \"b\"; x >= 6; x <= 10 }\n",
+    )
+    .unwrap()
+    .load_into(&mut catalog);
+    let mut runner = ScriptRunner::new(catalog);
+    let plain = runner.run("S = select x >= 5 from R\n").unwrap();
+    assert_eq!(plain.len(), 1);
+    let ne = runner.run("S = select 1 <> 2, x >= 5 from R\n").unwrap();
+    assert_eq!(ne.tuples(), plain.tuples());
+    for never in ["select 1 <> 1, x >= 5 from R", "select 1 = 2, x >= 5 from R"] {
+        assert!(runner.run(&format!("S = {}\n", never)).unwrap().is_empty(), "{}", never);
+    }
+}

@@ -30,6 +30,19 @@ if ! grep -q '"correct":true' <<<"$hurricane" \
 fi
 echo "hurricane seed 1: correct, result_hash 3eb20a49a3eb0c3f"
 
+echo "== benchmark gate: ingest seed 1 =="
+# One untimed pass of the frozen benchmark's ingest workload, the only one
+# that runs unindexed selections over a reopened database: its oracle must
+# hold and no operation may fail.
+ingest=$(cargo run -q --release --offline --manifest-path cqabench/Cargo.toml -- \
+    --workload ingest --seed 1 --seconds 0 --trace 0)
+if ! grep -q '"correct":true' <<<"$ingest" || ! grep -q '"failed":0,' <<<"$ingest"; then
+    echo "$ingest" >&2
+    echo "ingest seed 1 is incorrect or an operation failed" >&2
+    exit 1
+fi
+echo "ingest seed 1: correct, no failed operations"
+
 echo "== parallel determinism gate: quick grid, twice =="
 out1=$(cargo run -q --release -p cqa-bench --bin parallel_speedup -- --quick --out /tmp/verify_parallel_1.json)
 echo "$out1"
