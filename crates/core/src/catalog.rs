@@ -105,13 +105,15 @@ impl RelationIndex {
 /// An R\*-tree over the extents of `rel`'s tuples in the attributes at
 /// `positions`, each clamped into `±WORLD`: an extent entirely beyond it
 /// collapses onto the border and still meets every (equally clamped)
-/// probe.
+/// probe. The extents are STR-packed ([`cqa_index::bulk::str_load`]):
+/// the tree only filters, and [`RelationIndex::probe`] sorts its hits, so
+/// the tree's shape moves node accesses, never candidates.
 ///
 /// A tuple whose [`cqa_constraints::QuickBox`] is known empty is
 /// unsatisfiable and not indexed.
 fn build_tree<const D: usize>(rel: &HRelation, positions: [usize; D]) -> RStarTree<D, u64> {
     let schema = rel.schema();
-    let mut tree = RStarTree::new(RStarParams::fitting_page(D));
+    let mut extents = Vec::with_capacity(rel.len());
     for (i, t) in rel.tuples().iter().enumerate() {
         let bx = t.constraint().quick_box(schema.arity());
         if bx.is_known_empty() {
@@ -126,9 +128,9 @@ fn build_tree<const D: usize>(rel: &HRelation, positions: [usize; D]) -> RStarTr
             };
             (lo[k], hi[k]) = (l.clamp(-WORLD, WORLD), h.clamp(-WORLD, WORLD));
         }
-        tree.insert(Rect::new(lo, hi), i as u64);
+        extents.push((Rect::new(lo, hi), i as u64));
     }
-    tree
+    cqa_index::bulk::str_load(RStarParams::fitting_page(D), extents)
 }
 
 /// Searches `tree` with per-dimension `[lo, hi]` bounds (`None` =

@@ -971,6 +971,95 @@ mod tests {
     }
 
     #[test]
+    fn packed_index_probes_match_a_linear_scan() {
+        // 3,000 boxes pack into a tree of many leaves. One tuple has no
+        // constraints (it spans the clamped world), one is known empty
+        // (not indexed), and every 500th lies beyond the ±1e15 clamp.
+        let world = 1.0e15;
+        let schema =
+            Schema::new(vec![AttrDef::str_rel("id"), AttrDef::rat_con("x"), AttrDef::rat_con("y")])
+                .unwrap();
+        let mut rel = HRelation::new(schema);
+        // Each ordinal's expected clamped extent in (x, y); `None` = empty.
+        let mut extents: Vec<Option<[(f64, f64); 2]>> = Vec::new();
+        let mut state = 11u64;
+        let mut rnd = move |n: i64| {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (state >> 33) as i64 % n
+        };
+        for i in 0..3000i64 {
+            let (x, y) = if i % 500 == 7 {
+                (2_000_000_000_000_000, rnd(1000))
+            } else {
+                (rnd(10_000) - 5000, rnd(10_000) - 5000)
+            };
+            let (w, h) = (rnd(60), rnd(60));
+            rel.insert_with(|b| {
+                b.set("id", format!("t{}", i).as_str()).range("x", x, x + w).range("y", y, y + h)
+            })
+            .unwrap();
+            let clamp = |lo: i64, hi: i64| ((lo as f64).min(world), (hi as f64).min(world));
+            extents.push(Some([clamp(x, x + w), clamp(y, y + h)]));
+        }
+        rel.insert_with(|b| b.set("id", "broad")).unwrap();
+        extents.push(Some([(-world, world); 2]));
+        rel.insert_with(|b| b.set("id", "empty").range("x", 5, 3)).unwrap();
+        extents.push(None);
+
+        let mut plain = Catalog::new();
+        plain.register("R", rel.clone());
+        let mut indexed = Catalog::new();
+        indexed.register("R", rel);
+        indexed.build_index("R", &["x"]).unwrap();
+        indexed.build_index("R", &["x", "y"]).unwrap();
+        let (by_x, by_xy) = (&indexed.indexes("R")[0], &indexed.indexes("R")[1]);
+
+        let windows = [
+            [Some((-100.0, 100.0)), Some((0.0, 400.0))],
+            [Some((4990.0, 6000.0)), None],
+            [None, Some((-5000.0, -4990.0))],
+            [Some((3e15, 4e15)), None],
+            [Some((7.0, 7.0)), Some((-8.0, -8.0))],
+            [None, None],
+        ];
+        let meets = |ext: &Option<[(f64, f64); 2]>, w: &[Option<(f64, f64)>]| {
+            ext.is_some_and(|ext| {
+                w.iter().zip(ext).all(|(bound, (lo, hi))| match bound {
+                    Some((l, h)) => lo <= h.clamp(-world, world) && l.clamp(-world, world) <= hi,
+                    None => true,
+                })
+            })
+        };
+        for w in &windows {
+            let want_xy: Vec<usize> = (0..extents.len()).filter(|&i| meets(&extents[i], w)).collect();
+            assert_eq!(by_xy.probe(w), want_xy, "[x, y] window {:?}", w);
+            let want_x: Vec<usize> =
+                (0..extents.len()).filter(|&i| meets(&extents[i], &w[..1])).collect();
+            assert_eq!(by_x.probe(&w[..1]), want_x, "[x] window {:?}", &w[..1]);
+        }
+        // The whole-world probe reads every page: a root and many leaves.
+        let before = by_xy.accesses();
+        assert_eq!(by_xy.probe(&[None, None]).len(), 3001);
+        assert!(by_xy.accesses() - before > 20, "{} pages", by_xy.accesses() - before);
+
+        let selections = [
+            Selection::all().cmp_int("x", CmpOp::Ge, -100).cmp_int("x", CmpOp::Le, 100),
+            Selection::all()
+                .cmp_int("x", CmpOp::Ge, 0)
+                .cmp_int("x", CmpOp::Lt, 700)
+                .cmp_int("y", CmpOp::Gt, 4000),
+            Selection::all().cmp_int("x", CmpOp::Ge, 1_999_999_999_999_990),
+            Selection::all().cmp_int("y", CmpOp::Eq, 33),
+        ];
+        for sel in selections {
+            let plan = Plan::scan("R").select(sel.clone());
+            let want = run(&plan, &plain).unwrap();
+            assert!(!want.is_empty(), "selection {:?}", sel);
+            assert_eq!(run(&plan, &indexed).unwrap(), want, "selection {:?}", sel);
+        }
+    }
+
+    #[test]
     fn index_handles_contradictory_bounds() {
         // x ≥ 10 ∧ x ≤ 5 would form an inverted probe rectangle; the
         // index path must answer "empty" directly instead.

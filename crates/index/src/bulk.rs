@@ -1,55 +1,113 @@
-//! Sorted-slab loading, named after sort-tile-recursive (STR).
+//! Sort-tile-recursive (STR) packing (Leutenegger, Lopez and Edgington,
+//! ICDE 1997).
 //!
-//! Building a tree by repeated insertion is the configuration the paper's
-//! experiments measure. [`str_load`] only changes the insertion *order*:
-//! it sorts the entries into slabs the way STR tiles them and then inserts
-//! them one at a time through the ordinary R\* insert. It is not the
-//! bottom-up STR packer (Leutenegger, Lopez and Edgington) — leaves are
-//! not packed at full fan-out — and nothing outside the tests calls it.
-//! ROADMAP Direction 3 replaces it with real packing for catalog indexes.
+//! [`str_load`] builds a tree bottom up: one level at a time, the items
+//! are tiled into nodes of near-full fan-out, and the nodes' MBRs become
+//! the next level's items, until one root remains. No R\* insert runs, so
+//! packing costs a few sorts instead of one overlap-minimising insert per
+//! entry. The catalog's relation indexes are packed; the paper's §5
+//! experiments ([`crate::strategy`]) build by insertion, the
+//! configuration whose node accesses they measure.
 
 use crate::rect::Rect;
-use crate::rstar::{RStarParams, RStarTree};
+use crate::rstar::{Node, NodeId, NodeKind, RStarParams, RStarTree};
 
-/// Loads entries into a fresh tree by sorted insertion: sort by the first
-/// axis's center, cut into `⌈√(n / M)⌉` vertical slabs, sort each slab by
-/// the second axis's center (spread over `threads` workers, `0` = all
-/// hardware threads), then insert in that order.
+/// Packs `entries` into a fresh tree.
 ///
-/// The resulting tree satisfies all R\*-tree invariants; subsequent inserts
-/// and removes behave normally. The thread count never changes the result:
-/// the axis-0 sort is serial, the slab boundaries are fixed before any
-/// worker runs, each slab's axis-1 sort is an independent deterministic
-/// comparison sort, and the chunked executor concatenates slabs in input
-/// order — so the insertion sequence, and therefore the tree, is identical
-/// for every `threads` value (`same_structure` in the tests pins this).
+/// A level of `k` items becomes `P = ⌈k/M⌉` nodes, node `j` taking items
+/// `[⌊k·j/P⌋, ⌊k·(j+1)/P⌋)` of the tiled order, so every node holds
+/// `⌊k/P⌋` or `⌈k/P⌉` items: between `min_entries` and `M`. The order
+/// is STR's: stable-sort by center on axis 0, cut into `⌈P^(1/D)⌉` slabs
+/// of whole nodes, and tile each slab the same way on the remaining axes.
 /// Centers are ordered by `total_cmp`, so a `[-inf, +inf]` side (whose
-/// center is NaN) sorts deterministically instead of panicking.
-pub fn str_load<const D: usize, T: Clone + PartialEq + Send + Sync>(
+/// center is NaN) sorts deterministically.
+///
+/// The result satisfies every R\*-tree invariant, and later inserts and
+/// removes behave as usual. The same input always packs into the same
+/// tree.
+pub fn str_load<const D: usize, T: Clone + PartialEq>(
     params: RStarParams,
-    mut entries: Vec<(Rect<D>, T)>,
-    threads: usize,
+    entries: Vec<(Rect<D>, T)>,
 ) -> RStarTree<D, T> {
-    let mut tree = RStarTree::new(params);
     if entries.is_empty() {
-        return tree;
+        return RStarTree::new(params);
     }
-    let capacity = params.max_entries;
-    let slab = ((entries.len() as f64 / capacity as f64).sqrt().ceil() as usize).max(1);
-    entries.sort_by(|a, b| a.0.center()[0].total_cmp(&b.0.center()[0]));
-    let per_slab = entries.len().div_ceil(slab).max(1);
-    let slabs: Vec<&[(Rect<D>, T)]> = entries.chunks(per_slab).collect();
-    let ordered = cqa_num::par::flat_map_chunks(&slabs, threads, |chunk| {
-        let mut chunk: Vec<(Rect<D>, T)> = chunk.to_vec();
-        if D > 1 {
-            chunk.sort_by(|a, b| a.0.center()[1].total_cmp(&b.0.center()[1]));
-        }
-        chunk
-    });
-    for (r, t) in ordered {
-        tree.insert(r, t);
+    let len = entries.len();
+    let mut nodes = Vec::new();
+    let mut level = pack_level(params, entries, |e| e.0, NodeKind::Leaf, &mut nodes);
+    let mut height = 1;
+    while level.len() > 1 {
+        let make = |children: Vec<(Rect<D>, NodeId)>| {
+            NodeKind::Internal(children.into_iter().map(|(_, c)| c).collect())
+        };
+        level = pack_level(params, level, |e| e.0, make, &mut nodes);
+        height += 1;
     }
-    tree
+    RStarTree::from_arena(params, nodes, level[0].1, height, len)
+}
+
+/// Packs one level: tiles `items` into nodes built by `make`, pushes them
+/// onto `nodes`, and returns each new node's MBR and id in tiled order.
+fn pack_level<const D: usize, T, E>(
+    params: RStarParams,
+    mut items: Vec<E>,
+    rect_of: impl Fn(&E) -> Rect<D>,
+    make: impl Fn(Vec<E>) -> NodeKind<D, T>,
+    nodes: &mut Vec<Node<D, T>>,
+) -> Vec<(Rect<D>, NodeId)> {
+    let k = items.len();
+    let p = k.div_ceil(params.max_entries);
+    let bound = |j: usize| k * j / p;
+    tile(&mut items, &rect_of, &bound, 0..p, 0);
+    let mut items = items.into_iter();
+    (0..p)
+        .map(|j| {
+            let group: Vec<E> = items.by_ref().take(bound(j + 1) - bound(j)).collect();
+            let rect = group.iter().fold(Rect::empty(), |acc, e| acc.union(&rect_of(e)));
+            nodes.push(Node { rect, kind: make(group) });
+            (rect, NodeId(nodes.len() as u32 - 1))
+        })
+        .collect()
+}
+
+/// Orders the items of the nodes `range` (items `[bound(start),
+/// bound(end))`) by center on `axis`, then cuts them into `⌈n^(1/r)⌉`
+/// slabs of whole nodes, `n` nodes and `r` axes remaining, and orders
+/// each slab on the next axis.
+fn tile<const D: usize, E>(
+    items: &mut [E],
+    rect_of: &impl Fn(&E) -> Rect<D>,
+    bound: &impl Fn(usize) -> usize,
+    range: std::ops::Range<usize>,
+    axis: usize,
+) {
+    let center = |e: &E| {
+        let r = rect_of(e);
+        (r.lo[axis] + r.hi[axis]) / 2.0
+    };
+    items[bound(range.start)..bound(range.end)].sort_by(|a, b| center(a).total_cmp(&center(b)));
+    if axis + 1 == D {
+        return;
+    }
+    let n = range.len();
+    let slabs = ceil_root(n, D - axis);
+    for s in 0..slabs {
+        let slab = range.start + n * s / slabs..range.start + n * (s + 1) / slabs;
+        tile(items, rect_of, bound, slab, axis + 1);
+    }
+}
+
+/// `⌈n^(1/r)⌉`, exactly.
+fn ceil_root(n: usize, r: usize) -> usize {
+    let pow = |s: usize| (0..r).fold(1usize, |acc, _| acc.saturating_mul(s));
+    let mut s = (n as f64).powf(1.0 / r as f64).ceil() as usize;
+    while s > 1 && pow(s - 1) >= n {
+        s -= 1;
+    }
+    while pow(s) < n {
+        s += 1;
+    }
+    s
 }
 
 #[cfg(test)]
@@ -65,8 +123,11 @@ mod tests {
                 (Rect::new([x, y], [x + 1.0, y + 1.0]), i)
             })
             .collect();
-        let tree = str_load(RStarParams::with_max(10), entries.clone(), 0);
+        let tree = str_load(RStarParams::with_max(10), entries.clone());
         assert_eq!(tree.len(), 200);
+        // 20 leaves under 2 internal nodes under the root.
+        assert_eq!(tree.height(), 3);
+        assert_eq!(tree.node_count(), 23);
         tree.check_invariants();
         for (r, i) in &entries {
             assert!(tree.search(r).0.contains(i));
@@ -74,35 +135,23 @@ mod tests {
     }
 
     #[test]
-    fn parallel_load_builds_node_identical_tree() {
-        let mut entries: Vec<(Rect<2>, usize)> = Vec::new();
-        let mut state = 7u64;
-        let mut rnd = move || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-            ((state >> 33) as f64) / (u32::MAX as f64 / 2.0) * 1000.0
-        };
-        for i in 0..700 {
-            let (x, y) = (rnd(), rnd());
-            entries.push((Rect::new([x, y], [x + 5.0, y + 5.0]), i));
-        }
-        let params = RStarParams::with_max(12);
-        let serial = str_load(params, entries.clone(), 1);
-        serial.check_invariants();
-        for threads in [2, 8] {
-            let par = str_load(params, entries.clone(), threads);
-            par.check_invariants();
-            assert!(
-                serial.same_structure(&par),
-                "threads={} built a structurally different tree",
-                threads
-            );
-        }
-        // All hardware threads (`0`) is covered too.
-        assert!(serial.same_structure(&str_load(params, entries, 0)));
-        // Empty trees compare equal regardless of thread count.
-        let e1: RStarTree<2, usize> = str_load(params, Vec::new(), 1);
-        let e8: RStarTree<2, usize> = str_load(params, Vec::new(), 8);
-        assert!(e1.same_structure(&e8));
+    fn packs_grid_into_square_tiles() {
+        // 16 unit cells on a 4×4 grid at fan-out 4: STR packs each 2×2
+        // quadrant into one leaf, so a point probe reads root + one leaf.
+        let entries: Vec<(Rect<2>, usize)> = (0..16)
+            .map(|i| {
+                let (x, y) = ((i % 4) as f64 * 2.0, (i / 4) as f64 * 2.0);
+                (Rect::new([x, y], [x + 1.0, y + 1.0]), i)
+            })
+            .collect();
+        let tree = str_load(RStarParams::with_max(4), entries);
+        tree.check_invariants();
+        assert_eq!(tree.height(), 2);
+        let (hits, accesses) = tree.search(&Rect::point([0.5, 0.5]));
+        assert_eq!((hits, accesses), (vec![0], 2));
+        let (mut hits, accesses) = tree.search(&Rect::new([0.0, 0.0], [3.0, 3.0]));
+        hits.sort();
+        assert_eq!((hits, accesses), (vec![0, 1, 4, 5], 2));
     }
 
     #[test]
@@ -111,9 +160,9 @@ mod tests {
         // order it deterministically.
         let entries = crate::rstar::tests::unbounded_entries();
         let params = RStarParams::with_max(4);
-        let tree = str_load(params, entries.clone(), 1);
+        let tree = str_load(params, entries.clone());
         tree.check_invariants();
-        assert!(tree.same_structure(&str_load(params, entries.clone(), 2)));
+        assert!(tree.same_structure(&str_load(params, entries.clone())));
         for q in [Rect::new([0.0, 0.0], [4.0, 4.0]), Rect::new([-1e300, 10.0], [-1e299, 12.0])] {
             let (mut got, _) = tree.search(&q);
             got.sort();
@@ -125,9 +174,21 @@ mod tests {
 
     #[test]
     fn empty_load() {
-        let tree: RStarTree<2, u32> = str_load(RStarParams::with_max(8), Vec::new(), 0);
+        let tree: RStarTree<2, u32> = str_load(RStarParams::with_max(8), Vec::new());
         assert!(tree.is_empty());
         tree.check_invariants();
+    }
+
+    #[test]
+    fn ceil_root_is_exact() {
+        for (n, r, want) in [(1, 2, 1), (4, 2, 2), (5, 2, 3), (9, 2, 3), (10, 2, 4), (8, 3, 2), (9, 3, 3)]
+        {
+            assert_eq!(ceil_root(n, r), want, "ceil_root({}, {})", n, r);
+        }
+        for n in 1..2000 {
+            let s = ceil_root(n, 2);
+            assert!(s * s >= n && (s - 1) * (s - 1) < n, "n = {}", n);
+        }
     }
 
     #[test]
@@ -144,7 +205,7 @@ mod tests {
             entries.push((Rect::new([x, y], [x + 10.0, y + 10.0]), i));
         }
         let params = RStarParams::with_max(16);
-        let bulk = str_load(params, entries.clone(), 0);
+        let bulk = str_load(params, entries.clone());
         let mut incremental = RStarTree::new(params);
         for (r, i) in entries {
             incremental.insert(r, i);
@@ -158,5 +219,7 @@ mod tests {
         assert_eq!(hb, hi);
         // Bulk loading should not be drastically worse.
         assert!(acc_b <= acc_i * 2, "bulk {} vs incremental {}", acc_b, acc_i);
+        // Packed nodes are full, so the packed tree has fewer pages.
+        assert!(bulk.node_count() < incremental.node_count());
     }
 }

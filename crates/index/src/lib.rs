@@ -11,7 +11,8 @@
 //!   intervals a constraint attribute's projection denotes);
 //! * [`RStarTree`] — insertion with forced reinsertion and the R\* split,
 //!   deletion with tree condensation, and access-counted range search;
-//! * [`bulk`] — sort-tile-recursive-ordered (sorted-slab) insertion;
+//! * [`bulk`] — bottom-up sort-tile-recursive (STR) packing, which the
+//!   catalog's relation indexes are built by;
 //! * [`strategy`] — [`JointIndex`](strategy::JointIndex) vs
 //!   [`SeparateIndices`](strategy::SeparateIndices), the two §5.4
 //!   configurations;

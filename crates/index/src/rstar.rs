@@ -116,6 +116,18 @@ impl<const D: usize, T: Clone + PartialEq> RStarTree<D, T> {
         }
     }
 
+    /// A tree over a prebuilt arena (the bulk loader's output): `root`
+    /// heads `height` levels that hold `len` entries, and no slot is free.
+    pub(crate) fn from_arena(
+        params: RStarParams,
+        nodes: Vec<Node<D, T>>,
+        root: NodeId,
+        height: usize,
+        len: usize,
+    ) -> RStarTree<D, T> {
+        RStarTree { params, nodes, free: Vec::new(), root, height, len }
+    }
+
     /// Number of stored entries.
     pub fn len(&self) -> usize {
         self.len
@@ -151,8 +163,7 @@ impl<const D: usize, T: Clone + PartialEq> RStarTree<D, T> {
     /// Slot indices in the arena are allowed to differ — two trees built
     /// through different allocation histories still compare equal if
     /// every page a query would touch is identical. Pins the contract
-    /// that the parallel STR-ordered load builds the exact tree the serial
-    /// load does.
+    /// that packing the same entries twice builds the same tree.
     pub fn same_structure(&self, other: &RStarTree<D, T>) -> bool
     where
         T: PartialEq,
@@ -328,8 +339,10 @@ impl<const D: usize, T: Clone + PartialEq> RStarTree<D, T> {
                 .iter()
                 .map(|&c| (self.node(c).rect.enlargement(rect), c))
                 .collect();
-            by_enlargement
-                .sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
+            // An unbounded side makes the enlargement NaN (inf − inf), so
+            // the order is `total_cmp`'s, which equals `partial_cmp`'s on
+            // the (never −0.0) non-NaN enlargements.
+            by_enlargement.sort_by(|a, b| a.0.total_cmp(&b.0));
             shortlist = by_enlargement.into_iter().take(CANDIDATES).map(|(_, c)| c).collect();
             &shortlist
         } else {
@@ -942,6 +955,46 @@ pub(crate) mod tests {
             t.bounds(),
         ];
         for q in queries {
+            let (mut got, _) = t.search(&q);
+            got.sort();
+            let want: Vec<usize> =
+                entries.iter().filter(|(r, _)| r.intersects(&q)).map(|(_, i)| *i).collect();
+            assert_eq!(got, want, "query {:?}", q);
+        }
+    }
+
+    #[test]
+    fn unbounded_sides_at_large_fan_out() {
+        // Above 32 children the leaf choice shortlists by enlargement,
+        // which is NaN for a child with a `[-inf, +inf]` side; the
+        // shortlist sort must still be a total order.
+        let inf = f64::INFINITY;
+        let mut state = 3u64;
+        let mut rnd = move || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (state >> 33) as f64 / (1u64 << 31) as f64
+        };
+        let mut t = RStarTree::new(RStarParams::with_max(40));
+        let mut entries = Vec::new();
+        for i in 0..4000usize {
+            let (x, y) = (rnd() * 1000.0, rnd() * 1000.0);
+            let (mut lo, mut hi) = ([x, y], [x + 2.0, y + 2.0]);
+            if rnd() < 0.15 {
+                (lo[0], hi[0]) = (-inf, inf);
+            }
+            if rnd() < 0.10 {
+                (lo[1], hi[1]) = (-inf, inf);
+            }
+            let r = Rect::new(lo, hi);
+            t.insert(r, i);
+            entries.push((r, i));
+        }
+        t.check_invariants();
+        for q in [
+            Rect::new([100.0, 100.0], [140.0, 120.0]),
+            Rect::new([-5.0, 990.0], [3.0, 1005.0]),
+            Rect::new([2000.0, 2000.0], [2001.0, 2001.0]),
+        ] {
             let (mut got, _) = t.search(&q);
             got.sort();
             let want: Vec<usize> =

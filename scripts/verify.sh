@@ -43,6 +43,19 @@ if ! grep -q '"correct":true' <<<"$ingest" || ! grep -q '"failed":0,' <<<"$inges
 fi
 echo "ingest seed 1: correct, no failed operations"
 
+echo "== benchmark gate: region_select seed 1 =="
+# One untimed pass of the frozen benchmark's region_select workload, the
+# only one that builds and probes a catalog R*-tree index: its oracle
+# must hold and no operation may fail.
+region=$(cargo run -q --release --offline --manifest-path cqabench/Cargo.toml -- \
+    --workload region_select --seed 1 --seconds 0 --trace 0)
+if ! grep -q '"correct":true' <<<"$region" || ! grep -q '"failed":0,' <<<"$region"; then
+    echo "$region" >&2
+    echo "region_select seed 1 is incorrect or an operation failed" >&2
+    exit 1
+fi
+echo "region_select seed 1: correct, no failed operations"
+
 echo "== parallel determinism gate: quick grid, twice =="
 out1=$(cargo run -q --release -p cqa-bench --bin parallel_speedup -- --quick --out /tmp/verify_parallel_1.json)
 echo "$out1"
