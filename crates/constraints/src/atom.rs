@@ -199,6 +199,9 @@ impl Atom {
 
     /// Replaces `v` by `repl` everywhere.
     pub fn substitute(&self, v: Var, repl: &LinExpr) -> Atom {
+        if !self.mentions(v) {
+            return self.clone();
+        }
         Atom::new(self.expr.substitute(v, repl), self.rel)
     }
 

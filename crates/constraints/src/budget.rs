@@ -21,8 +21,10 @@ pub struct Budget<'a> {
     pub fm_peak: Option<&'a AtomicU64>,
     /// If set, incremented once per elimination run.
     pub fm_calls: Option<&'a AtomicU64>,
-    /// If set, incremented once per elimination run the per-variable
-    /// interval shortcut answered (a subset of `fm_calls`).
+    /// If set, incremented once per elimination run handed to
+    /// per-variable intervals: one whose working system is a box on
+    /// entry or becomes one while variables remain (a subset of
+    /// `fm_calls`).
     pub fm_interval_calls: Option<&'a AtomicU64>,
     /// If set, incremented once per conjunction a DNF product builds,
     /// kept or discarded.
@@ -37,7 +39,7 @@ impl Budget<'_> {
         }
     }
 
-    /// Counts one elimination run answered by the interval shortcut.
+    /// Counts one elimination run handed to per-variable intervals.
     pub(crate) fn count_fm_interval_call(&self) {
         if let Some(calls) = self.fm_interval_calls {
             calls.fetch_add(1, Ordering::Relaxed);

@@ -187,37 +187,49 @@ impl Conjunction {
         Conjunction { atoms }
     }
 
-    /// Whether this conjunction entails the atom (`self ⊨ atom`).
-    pub fn implies_atom(&self, atom: &Atom) -> bool {
+    /// Whether this conjunction entails the atom (`self ⊨ atom`), each
+    /// refutation decided under `budget`.
+    pub fn implies_atom(&self, atom: &Atom, budget: &Budget<'_>) -> Result<bool, BudgetExceeded> {
         // self ⊨ a  iff  self ∧ ¬a is unsatisfiable, for every disjunct of ¬a.
-        atom.negate().into_iter().all(|neg| {
+        for neg in atom.negate() {
             let mut c = self.clone();
             c.add(neg);
-            !c.is_satisfiable()
-        })
+            if c.is_satisfiable_budgeted(budget)? {
+                return Ok(false);
+            }
+        }
+        Ok(true)
     }
 
     /// Whether this conjunction entails every atom of `other`
     /// (semantic containment of the denoted point sets, assuming `self`
-    /// is satisfiable).
-    pub fn implies(&self, other: &Conjunction) -> bool {
-        other.atoms.iter().all(|a| self.implies_atom(a))
+    /// is satisfiable), under `budget`.
+    pub fn implies(&self, other: &Conjunction, budget: &Budget<'_>) -> Result<bool, BudgetExceeded> {
+        for a in &other.atoms {
+            if !self.implies_atom(a, budget)? {
+                return Ok(false);
+            }
+        }
+        Ok(true)
     }
 
     /// Semantic equivalence of two conjunctions.
     pub fn equivalent(&self, other: &Conjunction) -> bool {
+        // An unlimited budget never trips.
+        let implies = |a: &Conjunction, b| a.implies(b, &Budget::default()).unwrap_or(false);
         match (self.is_satisfiable(), other.is_satisfiable()) {
             (false, false) => true,
-            (true, true) => self.implies(other) && other.implies(self),
+            (true, true) => implies(self, other) && implies(other, self),
             _ => false,
         }
     }
 
-    /// Removes redundant atoms: an atom entailed by the others is dropped.
-    /// An unsatisfiable conjunction collapses to [`Conjunction::falsum`].
-    pub fn simplify(&self) -> Conjunction {
-        if !self.is_satisfiable() {
-            return Conjunction::falsum();
+    /// Removes redundant atoms under `budget`: an atom entailed by the
+    /// others is dropped. An unsatisfiable conjunction collapses to
+    /// [`Conjunction::falsum`].
+    pub fn simplify(&self, budget: &Budget<'_>) -> Result<Conjunction, BudgetExceeded> {
+        if !self.is_satisfiable_budgeted(budget)? {
+            return Ok(Conjunction::falsum());
         }
         let mut kept: Vec<Atom> = self.atoms.iter().cloned().collect();
         let mut i = 0;
@@ -226,13 +238,13 @@ impl Conjunction {
             let rest = Conjunction::from_atoms(
                 kept.iter().enumerate().filter(|(j, _)| *j != i).map(|(_, a)| a.clone()),
             );
-            if rest.implies_atom(&candidate) {
+            if rest.implies_atom(&candidate, budget)? {
                 kept.remove(i);
             } else {
                 i += 1;
             }
         }
-        Conjunction { atoms: kept.into_iter().collect() }
+        Ok(Conjunction { atoms: kept.into_iter().collect() })
     }
 
     /// The exact interval of values `v` can take under this conjunction
@@ -512,16 +524,17 @@ mod tests {
 
     #[test]
     fn entailment() {
+        let unlimited = Budget::default();
         let c = Conjunction::from_atoms([ge(x(), 2), le(x(), 3)]);
-        assert!(c.implies_atom(&ge(x(), 0)));
-        assert!(!c.implies_atom(&ge(x(), 3)));
-        assert!(c.implies_atom(&le(x(), 3)));
+        assert!(c.implies_atom(&ge(x(), 0), &unlimited).unwrap());
+        assert!(!c.implies_atom(&ge(x(), 3), &unlimited).unwrap());
+        assert!(c.implies_atom(&le(x(), 3), &unlimited).unwrap());
         let weaker = Conjunction::from_atoms([ge(x(), 0), le(x(), 5)]);
-        assert!(c.implies(&weaker));
-        assert!(!weaker.implies(&c));
+        assert!(c.implies(&weaker, &unlimited).unwrap());
+        assert!(!weaker.implies(&c, &unlimited).unwrap());
         // Equality entailment needs both branches of the negation.
         let point = Conjunction::from_atoms([ge(x(), 2), le(x(), 2)]);
-        assert!(point.implies_atom(&Atom::var_eq_const(x(), ri(2))));
+        assert!(point.implies_atom(&Atom::var_eq_const(x(), ri(2)), &unlimited).unwrap());
     }
 
     #[test]
@@ -536,11 +549,11 @@ mod tests {
     #[test]
     fn simplify_drops_redundant() {
         let c = Conjunction::from_atoms([ge(x(), 2), ge(x(), 0), le(x(), 9), le(x(), 9)]);
-        let s = c.simplify();
+        let s = c.simplify(&Budget::default()).unwrap();
         assert_eq!(s.len(), 2);
         assert!(s.equivalent(&c));
         let unsat = Conjunction::from_atoms([ge(x(), 2), le(x(), 1)]);
-        assert!(unsat.simplify().is_trivially_false());
+        assert!(unsat.simplify(&Budget::default()).unwrap().is_trivially_false());
     }
 
     #[test]

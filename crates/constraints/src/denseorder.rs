@@ -214,6 +214,7 @@ impl fmt::Display for OrderConjunction {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::budget::Budget;
 
     fn v(i: u32) -> Term {
         Term::Var(Var(i))
@@ -294,8 +295,8 @@ mod tests {
         assert!(out.is_satisfiable());
         let lin = out.to_linear();
         // Check semantics: y < z and 3 ≤ y must be implied.
-        assert!(lin.implies_atom(&OrderAtom::lt(v(1), v(2)).to_linear()));
-        assert!(lin.implies_atom(&OrderAtom::le(c(3), v(1)).to_linear()));
+        assert!(lin.implies_atom(&OrderAtom::lt(v(1), v(2)).to_linear(), &Budget::default()).unwrap());
+        assert!(lin.implies_atom(&OrderAtom::le(c(3), v(1)).to_linear(), &Budget::default()).unwrap());
     }
 
     #[test]

@@ -155,10 +155,15 @@ impl Dnf {
     }
 
     /// Drops unsatisfiable disjuncts and disjuncts absorbed by another
-    /// (i.e. whose point set is contained in another disjunct's).
-    pub fn normalize(&self) -> Dnf {
-        let sat: Vec<Conjunction> =
-            self.conjs.iter().filter(|c| c.is_satisfiable()).map(|c| c.simplify()).collect();
+    /// (i.e. whose point set is contained in another disjunct's), every
+    /// satisfiability and entailment check under `budget`.
+    pub fn normalize(&self, budget: &Budget<'_>) -> Result<Dnf, BudgetExceeded> {
+        let mut sat = Vec::new();
+        for c in &self.conjs {
+            if c.is_satisfiable_budgeted(budget)? {
+                sat.push(c.simplify(budget)?);
+            }
+        }
         let mut keep: Vec<bool> = vec![true; sat.len()];
         for i in 0..sat.len() {
             if !keep[i] {
@@ -169,20 +174,20 @@ impl Dnf {
                     continue;
                 }
                 // Drop i if i ⊆ j (prefer dropping the later of equals).
-                if sat[i].implies(&sat[j]) && (!sat[j].implies(&sat[i]) || j < i) {
+                if sat[i].implies(&sat[j], budget)? && (!sat[j].implies(&sat[i], budget)? || j < i) {
                     keep[i] = false;
                     break;
                 }
             }
         }
-        Dnf {
+        Ok(Dnf {
             conjs: sat
                 .into_iter()
                 .zip(keep)
                 .filter(|(_, k)| *k)
                 .map(|(c, _)| c)
                 .collect(),
-        }
+        })
     }
 
     /// Whether every point of `self` is a point of `other`.
@@ -319,7 +324,7 @@ mod tests {
                 Atom::le(LinExpr::var(x()), LinExpr::constant_int(4)),
             ]), // unsat
         ]);
-        let n = d.normalize();
+        let n = d.normalize(&Budget::default()).unwrap();
         assert_eq!(n.len(), 1);
         assert!(n.equivalent(&d));
     }

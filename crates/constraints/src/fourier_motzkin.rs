@@ -18,16 +18,20 @@
 //! of constraints sharing the same linear part.
 //!
 //! A *box system* — every atom names at most one variable, as every
-//! range-valued tuple, window and index extent does — needs neither step:
-//! eliminating a variable only asks whether its interval is empty. For
-//! such systems [`eliminate`] intersects exact per-variable intervals in
-//! one pass and returns what the loop would, with the same budget charges.
+//! range-valued tuple, window and index extent does, and as a system is
+//! once Gaussian steps have used up its multi-variable equations — needs
+//! neither step: eliminating a variable only asks whether its interval is
+//! empty. So each round of [`eliminate`] first tests for a box, and on
+//! one hands the variables still to go to exact per-variable intervals,
+//! which return what the rounds would, with the same budget charges.
 
 use crate::atom::{Atom, Rel};
 use crate::budget::{Budget, BudgetExceeded};
 use crate::interval::Interval;
 use crate::var::Var;
 use cqa_num::Rat;
+use std::borrow::Cow;
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Outcome of an elimination: either a (possibly empty) set of atoms over
@@ -46,108 +50,22 @@ pub enum Eliminated {
 /// conjunction is equivalent to `∃ vars. ⋀ atoms`. The working-system
 /// size is charged against `budget` after every eliminated variable, so
 /// a blow-up surfaces as [`BudgetExceeded`] instead of unbounded
-/// allocation. Box systems are answered from per-variable intervals
-/// instead of by elimination, with the identical result and charges.
+/// allocation. Once the working system is a box, the variables left are
+/// decided from per-variable intervals, with the identical result and
+/// charges.
 pub fn eliminate(
     atoms: &BTreeSet<Atom>,
     vars: &BTreeSet<Var>,
     budget: &Budget<'_>,
 ) -> Result<Eliminated, BudgetExceeded> {
-    if atoms.iter().all(|a| a.expr().arity() <= 1) {
-        return eliminate_box(atoms, vars, budget);
-    }
     eliminate_opt(atoms, vars, true, budget)
-}
-
-/// [`eliminate`] for a box system. Eliminating `v` from it keeps the
-/// atoms not on `v` unchanged and is unsatisfiable exactly when the
-/// interval `v`'s atoms cut out is empty, so the loop's answer is `Unsat`
-/// on a false ground atom or an empty interval of a variable in `vars`,
-/// and otherwise the pruned atoms on the other variables (unpruned when
-/// `vars` is empty, as the loop never prunes then). The loop's
-/// budget charges are replayed: its working system never grows past the
-/// ground-filtered input, so only the first charge can trip or raise the
-/// peak.
-fn eliminate_box(
-    atoms: &BTreeSet<Atom>,
-    vars: &BTreeSet<Var>,
-    budget: &Budget<'_>,
-) -> Result<Eliminated, BudgetExceeded> {
-    budget.count_fm_call();
-    budget.count_fm_interval_call();
-    let mut non_ground = 0;
-    for a in atoms {
-        match a.ground_truth() {
-            Some(true) => {}
-            Some(false) => return Ok(Eliminated::Unsat),
-            None => non_ground += 1,
-        }
-    }
-    budget.charge_fm_atoms(non_ground)?;
-    // Atoms order by their linear part, so each variable's atoms are
-    // adjacent and one running interval suffices.
-    let mut run: Option<(Var, Interval)> = None;
-    for a in atoms {
-        let Some((v, c)) = a.expr().terms().next() else {
-            continue; // ground and true
-        };
-        if !vars.contains(&v) {
-            continue;
-        }
-        if !matches!(run, Some((u, _)) if u == v) {
-            debug_assert!(!matches!(run, Some((u, _)) if u > v), "atoms grouped by variable");
-            run = Some((v, Interval::full()));
-        }
-        let (_, interval) = run.as_mut().expect("set above");
-        interval.narrow(a, c);
-        if interval.is_empty() {
-            return Ok(Eliminated::Unsat);
-        }
-    }
-    let kept = atoms.iter().filter(|a| a.vars().next().is_some_and(|v| !vars.contains(&v)));
-    // The loop prunes after each eliminated variable, and pruning is
-    // idempotent and commutes with dropping a variable's atoms.
-    Ok(Eliminated::Atoms(if vars.is_empty() { kept.cloned().collect() } else { prune_box(kept) }))
-}
-
-/// [`prune_parallel`] of one-variable atoms grouped by variable, without
-/// rebuilding them: it keeps every equation and, per variable, the
-/// tightest upper and the tightest lower bound, and the atom it would
-/// rebuild from the latter is the canonical original.
-fn prune_box<'a>(atoms: impl Iterator<Item = &'a Atom>) -> BTreeSet<Atom> {
-    let mut out = BTreeSet::new();
-    // The current variable's tightest lower and upper bound, each with
-    // its constant over |coefficient|: the larger, the tighter.
-    let mut best: [Option<(Rat, &Atom)>; 2] = [None, None];
-    let mut current = None;
-    for a in atoms {
-        let (v, c) = a.expr().terms().next().expect("one-variable atom");
-        if current != Some(v) {
-            out.extend(best.iter_mut().filter_map(|b| b.take()).map(|(_, a)| a.clone()));
-            current = Some(v);
-        }
-        if a.rel() == Rel::Eq {
-            out.insert(a.clone());
-            continue;
-        }
-        let k = a.expr().constant_term() / &c.abs();
-        let side = &mut best[usize::from(c.is_positive())];
-        let tighter = match side {
-            None => true,
-            Some((k0, _)) => k > *k0 || (k == *k0 && a.rel() == Rel::Lt),
-        };
-        if tighter {
-            *side = Some((k, a));
-        }
-    }
-    out.extend(best.into_iter().flatten().map(|(_, a)| a.clone()));
-    out
 }
 
 /// [`eliminate`] without the parallel-constraint pruning pass and without
 /// a budget — the ablation baseline benchmarked in `cqa-bench`.
 /// Semantically equivalent, but intermediate conjunctions can grow
-/// quadratically per variable.
+/// quadratically per variable. It never hands off to intervals, so it
+/// is also the plain loop the box hand-off is tested against.
 pub fn eliminate_unpruned(atoms: &BTreeSet<Atom>, vars: &BTreeSet<Var>) -> Eliminated {
     // An unlimited budget never trips.
     eliminate_opt(atoms, vars, false, &Budget::default()).unwrap_or(Eliminated::Unsat)
@@ -160,39 +78,83 @@ fn eliminate_opt(
     budget: &Budget<'_>,
 ) -> Result<Eliminated, BudgetExceeded> {
     budget.count_fm_call();
-    let mut current: BTreeSet<Atom> = BTreeSet::new();
-    for a in atoms {
-        match a.ground_truth() {
-            Some(true) => {}
-            Some(false) => return Ok(Eliminated::Unsat),
-            None => {
-                current.insert(a.clone());
-            }
+    // The input and `vars` stay borrowed until a round changes them; the
+    // input is copied up front only to drop its ground atoms.
+    let mut current = Cow::Borrowed(atoms);
+    if atoms.iter().any(|a| a.expr().is_constant()) {
+        if atoms.iter().any(Atom::is_trivially_false) {
+            return Ok(Eliminated::Unsat);
         }
+        current = Cow::Owned(atoms.iter().filter(|a| !a.expr().is_constant()).cloned().collect());
     }
     budget.charge_fm_atoms(current.len())?;
-    // Eliminate in an order that keeps intermediate growth small: at each
-    // round pick the variable with the fewest lower×upper combinations.
-    let mut remaining: BTreeSet<Var> = vars.clone();
-    while !remaining.is_empty() {
-        let v = pick_variable(&current, &remaining);
-        remaining.remove(&v);
-        match eliminate_one(&current, v) {
-            Eliminated::Atoms(next) => current = next,
+    let mut remaining = Cow::Borrowed(vars);
+    loop {
+        // A box stays a box and never grows as its variables go, so the
+        // charges the rounds would still make can neither trip nor raise
+        // the peak.
+        if prune && current.iter().all(|a| a.expr().arity() <= 1) {
+            budget.count_fm_interval_call();
+            return Ok(finish_box(&current, &remaining));
+        }
+        // Eliminate in an order that keeps intermediate growth small: at
+        // each round pick the variable with the fewest lower×upper
+        // combinations.
+        let Some(v) = pick_variable(&current, &remaining) else { break };
+        remaining.to_mut().remove(&v);
+        let next = match eliminate_one(&current, v) {
+            Eliminated::Atoms(next) => next,
             Eliminated::Unsat => return Ok(Eliminated::Unsat),
-        }
-        if prune {
-            current = prune_parallel(current);
-        }
+        };
+        current = Cow::Owned(if prune { prune_parallel(next) } else { next });
         budget.charge_fm_atoms(current.len())?;
+        if remaining.is_empty() {
+            break;
+        }
     }
-    Ok(Eliminated::Atoms(current))
+    Ok(Eliminated::Atoms(current.into_owned()))
+}
+
+/// Eliminates `remaining` from the ground-free box system `current`.
+/// Eliminating `v` keeps the atoms not on `v` as they are and is
+/// unsatisfiable exactly when the interval `v`'s atoms cut out is empty,
+/// so the rounds would end in `Unsat` on an empty interval of a variable
+/// in `remaining`, and otherwise in the pruned atoms on the other
+/// variables (unpruned when `remaining` is empty, as no round runs).
+fn finish_box(current: &BTreeSet<Atom>, remaining: &BTreeSet<Var>) -> Eliminated {
+    // Atoms order by their linear part, so each variable's atoms are
+    // adjacent and one running interval suffices.
+    let mut run: Option<(Var, Interval)> = None;
+    for a in current {
+        let Some((v, c)) = a.expr().terms().next() else { continue };
+        if !remaining.contains(&v) {
+            continue;
+        }
+        if !matches!(run, Some((u, _)) if u == v) {
+            debug_assert!(!matches!(run, Some((u, _)) if u > v), "atoms grouped by variable");
+            run = Some((v, Interval::full()));
+        }
+        let (_, interval) = run.as_mut().expect("set above");
+        interval.narrow(a, c);
+        if interval.is_empty() {
+            return Eliminated::Unsat;
+        }
+    }
+    let kept = current.iter().filter(|a| a.vars().next().is_some_and(|v| !remaining.contains(&v)));
+    // A round prunes after each eliminated variable, and pruning is
+    // idempotent and commutes with dropping a variable's atoms.
+    Eliminated::Atoms(if remaining.is_empty() {
+        kept.cloned().collect()
+    } else {
+        prune_parallel(kept.cloned())
+    })
 }
 
 /// Chooses the variable whose elimination generates the fewest new atoms
-/// (the classic min-fill heuristic specialized to Fourier–Motzkin). A
-/// variable appearing in an equation is free to eliminate, so it wins.
-fn pick_variable(atoms: &BTreeSet<Atom>, candidates: &BTreeSet<Var>) -> Var {
+/// (the classic min-fill heuristic specialized to Fourier–Motzkin), or
+/// `None` when there is none left. A variable appearing in an equation is
+/// free to eliminate, so it wins.
+fn pick_variable(atoms: &BTreeSet<Atom>, candidates: &BTreeSet<Var>) -> Option<Var> {
     let mut best: Option<(usize, Var)> = None;
     for &v in candidates {
         let mut lowers = 0usize;
@@ -215,7 +177,7 @@ fn pick_variable(atoms: &BTreeSet<Atom>, candidates: &BTreeSet<Var>) -> Var {
             _ => best = Some((cost, v)),
         }
     }
-    best.expect("candidates nonempty").1
+    best.map(|(_, v)| v)
 }
 
 /// Eliminates the single variable `v`.
@@ -281,14 +243,14 @@ fn eliminate_one(atoms: &BTreeSet<Atom>, v: Var) -> Eliminated {
 ///
 /// Fourier–Motzkin generates many such parallel constraints, so this cheap
 /// syntactic pruning keeps intermediate conjunctions small without invoking
-/// a full (recursive) entailment check.
-pub fn prune_parallel(atoms: BTreeSet<Atom>) -> BTreeSet<Atom> {
+/// a full (recursive) entailment check. The kept atoms are the input's own.
+pub fn prune_parallel(atoms: impl IntoIterator<Item = Atom>) -> BTreeSet<Atom> {
     // Key: the variable part of the expression, scaled so its leading
     // coefficient has magnitude one (atoms are stored with integer content-1
     // coefficients, so parallel constraints may carry different scalings).
-    // For inequalities the tightest has the *largest* constant
+    // For inequalities the tightest has the *largest* scaled constant
     // (e + c ≤ 0 ⇔ vars ≤ -c, larger c means smaller -c: tighter).
-    let mut ineqs: BTreeMap<crate::LinExpr, (Rat, Rel)> = BTreeMap::new();
+    let mut ineqs: BTreeMap<crate::LinExpr, (Rat, Atom)> = BTreeMap::new();
     let mut out: BTreeSet<Atom> = BTreeSet::new();
     for a in atoms {
         if a.rel() == Rel::Eq {
@@ -303,23 +265,19 @@ pub fn prune_parallel(atoms: BTreeSet<Atom>) -> BTreeSet<Atom> {
         };
         let key = key.scale(&scale);
         let c = a.expr().constant_term() * &scale;
-        match ineqs.get_mut(&key) {
-            None => {
-                ineqs.insert(key, (c, a.rel()));
+        match ineqs.entry(key) {
+            Entry::Vacant(slot) => {
+                slot.insert((c, a));
             }
-            Some((c0, r0)) => {
-                let tighter = c > *c0 || (c == *c0 && a.rel() == Rel::Lt && *r0 == Rel::Le);
-                if tighter {
-                    *c0 = c;
-                    *r0 = a.rel();
+            Entry::Occupied(mut slot) => {
+                let c0 = &slot.get().0;
+                if c > *c0 || (c == *c0 && a.rel() == Rel::Lt) {
+                    slot.insert((c, a));
                 }
             }
         }
     }
-    for (mut key, (c, rel)) in ineqs {
-        key.set_constant(c);
-        out.insert(Atom::new(key, rel));
-    }
+    out.extend(ineqs.into_values().map(|(_, a)| a));
     out
 }
 
@@ -560,44 +518,113 @@ mod tests {
         (set, vars)
     }
 
-    #[test]
-    fn box_shortcut_matches_the_fm_loop() {
-        let mut rng = Pcg32::seed_from_u64(0xB0C5);
-        let run = |shortcut: bool, set: &BTreeSet<Atom>, vars: &BTreeSet<Var>, limit| {
-            let (peak, calls) = (AtomicU64::new(0), AtomicU64::new(0));
-            let budget = Budget {
-                max_fm_atoms: limit,
-                fm_peak: Some(&peak),
-                fm_calls: Some(&calls),
-                ..Budget::default()
-            };
-            let got = if shortcut {
-                eliminate_box(set, vars, &budget)
-            } else {
-                eliminate_opt(set, vars, true, &budget)
-            };
-            (got, peak.into_inner(), calls.into_inner())
+    /// [`eliminate`] under `max_fm_atoms` `limit`, with the peak charge,
+    /// the FM calls and the interval hand-offs it counted.
+    fn counted(
+        set: &BTreeSet<Atom>,
+        vars: &BTreeSet<Var>,
+        limit: Option<u64>,
+    ) -> (Result<Eliminated, BudgetExceeded>, u64, u64, u64) {
+        let (peak, calls, by_interval) = (AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0));
+        let budget = Budget {
+            max_fm_atoms: limit,
+            fm_peak: Some(&peak),
+            fm_calls: Some(&calls),
+            fm_interval_calls: Some(&by_interval),
+            ..Budget::default()
         };
+        let got = eliminate(set, vars, &budget);
+        (got, peak.into_inner(), calls.into_inner(), by_interval.into_inner())
+    }
+
+    /// What the plain loop answers, pruned as the pruning loop would
+    /// prune it: never when `vars` is empty, as no round runs then.
+    fn pruned_reference(set: &BTreeSet<Atom>, vars: &BTreeSet<Var>) -> Eliminated {
+        match eliminate_unpruned(set, vars) {
+            Eliminated::Atoms(rest) if !vars.is_empty() => Eliminated::Atoms(prune_parallel(rest)),
+            other => other,
+        }
+    }
+
+    #[test]
+    fn a_box_system_is_decided_by_intervals() {
+        let mut rng = Pcg32::seed_from_u64(0xB0C5);
         let (mut unsat, mut sat) = (0, 0);
         for case in 0..6000 {
             let (set, vars) = random_box_system(&mut rng);
-            let fm = run(false, &set, &vars, None);
-            assert_eq!(run(true, &set, &vars, None), fm, "case {case}: {set:?} over {vars:?}");
-            assert_eq!(eliminate(&set, &vars, &Budget::default()), fm.0);
-            match fm.0 {
-                Ok(Eliminated::Unsat) => unsat += 1,
-                _ => sat += 1,
+            let want = pruned_reference(&set, &vars);
+            let (got, peak, calls, by_interval) = counted(&set, &vars, None);
+            assert_eq!(got, Ok(want.clone()), "case {case}: {set:?} over {vars:?}");
+            match want {
+                Eliminated::Unsat => unsat += 1,
+                Eliminated::Atoms(_) => sat += 1,
             }
-            for limit in 0..=set.len() as u64 + 1 {
-                assert_eq!(
-                    run(true, &set, &vars, Some(limit)),
-                    run(false, &set, &vars, Some(limit)),
-                    "case {case} under max_fm_atoms {limit}: {set:?} over {vars:?}"
-                );
+            if set.iter().any(Atom::is_trivially_false) {
+                // Decided before any charge or hand-off.
+                assert_eq!((peak, calls, by_interval), (0, 1, 0), "case {case}");
+                continue;
+            }
+            // The closed form: one charge of the ground-free input, one
+            // hand-off on entry, and a trip exactly below that charge.
+            let size = set.iter().filter(|a| !a.expr().is_constant()).count() as u64;
+            assert_eq!((peak, calls, by_interval), (size, 1, 1), "case {case}");
+            for limit in 0..=size + 1 {
+                let want = if limit < size {
+                    Err(BudgetExceeded { what: "fm atoms", used: size, limit })
+                } else {
+                    Ok(want.clone())
+                };
+                assert_eq!(counted(&set, &vars, Some(limit)).0, want, "case {case} under {limit}");
             }
         }
         // Both outcomes are well represented.
         assert!(unsat > 1000 && sat > 1000, "unsat {unsat}, sat {sat}");
+    }
+
+    #[test]
+    fn a_box_left_by_gaussian_steps_is_decided_by_intervals() {
+        // Shaped like a hurricane pair system: a position on a linear path,
+        // `a·x = b·t + c` and `d·y = e·t + f`, with bounds on x and y and
+        // box atoms on t. Eliminating x and y substitutes their equations away and
+        // leaves a box over t, so every variable still to go after them
+        // is decided from intervals.
+        let (x, y, t, w) = (x(), y(), z(), Var(3));
+        let mut rng = Pcg32::seed_from_u64(0x6A55);
+        let coeff = |rng: &mut Pcg32| ri([-3, -2, -1, 1, 2, 3][rng.gen_below_usize(6)]);
+        let (mut unsat, mut sat) = (0, 0);
+        for case in 0..3000 {
+            let mut set = BTreeSet::new();
+            for v in [x, y] {
+                let lhs = LinExpr::term(v, coeff(&mut rng));
+                let rhs = LinExpr::from_terms([(t, coeff(&mut rng))], ri(rng.gen_range_i64(-6, 6)));
+                set.insert(Atom::eq(lhs, rhs));
+            }
+            for _ in 0..rng.gen_range_i64(1, 6) {
+                let v = [x, y, t][rng.gen_below_usize(3)];
+                // An equation on x or y would be solved instead of the
+                // path's, and could decide the system before any box.
+                let rels: &[Rel] = if v == t { &[Rel::Eq, Rel::Le, Rel::Lt] } else { &[Rel::Le, Rel::Lt] };
+                let rel = rels[rng.gen_below_usize(rels.len())];
+                let k = ri(rng.gen_range_i64(-6, 6));
+                set.insert(Atom::new(LinExpr::from_terms([(v, coeff(&mut rng))], k), rel));
+            }
+            // t, the variable no atom mentions, or both, besides x and y.
+            let mut vars: BTreeSet<Var> = [x, y].into_iter().collect();
+            match rng.gen_below_usize(3) {
+                0 => vars.insert(t),
+                1 => vars.insert(w),
+                _ => vars.insert(t) && vars.insert(w),
+            };
+            let want = pruned_reference(&set, &vars);
+            let (got, peak, calls, by_interval) = counted(&set, &vars, None);
+            assert_eq!(got, Ok(want.clone()), "case {case}: {set:?} over {vars:?}");
+            assert_eq!((peak, calls, by_interval), (set.len() as u64, 1, 1), "case {case}");
+            match want {
+                Eliminated::Unsat => unsat += 1,
+                Eliminated::Atoms(_) => sat += 1,
+            }
+        }
+        assert!(unsat > 300 && sat > 300, "unsat {unsat}, sat {sat}");
     }
 
     #[test]
@@ -618,7 +645,7 @@ mod tests {
         let want = atoms(vec![Atom::ge(LinExpr::var(y()), LinExpr::constant_int(0))]);
         assert_eq!(eliminate(&set, &vars, &budget), Ok(Eliminated::Atoms(want)));
         assert_eq!((calls.load(Ordering::Relaxed), by_interval.load(Ordering::Relaxed)), (1, 0));
-        // Drop the two-variable atom and the shortcut answers.
+        // Drop the two-variable atom and intervals answer on entry.
         let boxed: BTreeSet<Atom> = set.into_iter().filter(|a| a.expr().arity() == 1).collect();
         assert!(matches!(eliminate(&boxed, &vars, &budget), Ok(Eliminated::Atoms(_))));
         assert_eq!((calls.load(Ordering::Relaxed), by_interval.load(Ordering::Relaxed)), (2, 1));

@@ -3,7 +3,7 @@
 //! of its satisfiability with the linear engine.
 
 use cqa_constraints::denseorder::{OrderAtom, OrderConjunction, Term};
-use cqa_constraints::Var;
+use cqa_constraints::{Budget, Var};
 use cqa_num::Rat;
 use proptest::prelude::*;
 
@@ -57,7 +57,7 @@ proptest! {
         let lin_in = conj.to_linear();
         for atom in out.atoms() {
             prop_assert!(
-                lin_in.implies_atom(&atom.to_linear()),
+                lin_in.implies_atom(&atom.to_linear(), &Budget::default()).unwrap(),
                 "{} not implied by {}", atom, conj
             );
         }

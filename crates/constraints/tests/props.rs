@@ -141,7 +141,7 @@ proptest! {
     /// Entailment agrees with pointwise implication on sampled points.
     #[test]
     fn entailment_sound(c in arb_conj(3), a in arb_atom(), p in arb_point()) {
-        if c.implies_atom(&a) && c.eval(&p) == Some(true) {
+        if c.implies_atom(&a, &Budget::default()).unwrap() && c.eval(&p) == Some(true) {
             prop_assert_eq!(a.eval(&p), Some(true));
         }
     }
@@ -149,7 +149,7 @@ proptest! {
     /// simplify preserves semantics.
     #[test]
     fn simplify_preserves_semantics(c in arb_conj(4), p in arb_point()) {
-        let s = c.simplify();
+        let s = c.simplify(&Budget::default()).unwrap();
         prop_assert_eq!(s.eval(&p).unwrap_or(false), c.eval(&p).unwrap_or(false));
     }
 
@@ -192,7 +192,7 @@ proptest! {
     #[test]
     fn dnf_normalize_preserves(cs in prop::collection::vec(arb_conj(3), 0..4), p in arb_point()) {
         let d = Dnf::from_conjunctions(cs);
-        let n = d.normalize();
+        let n = d.normalize(&Budget::default()).unwrap();
         prop_assert_eq!(d.eval(&p).unwrap_or(false), n.eval(&p).unwrap_or(false));
     }
 }
@@ -215,7 +215,7 @@ fn arb_box_atom() -> impl Strategy<Value = Atom> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
-    /// The interval shortcut against pointwise semantics: a point that
+    /// The interval hand-off against pointwise semantics: a point that
     /// satisfies a box conjunction proves it satisfiable and lies in
     /// every variable's bounds.
     #[test]

@@ -786,7 +786,7 @@ mod tests {
         assert_eq!(trace.children[0].counter(ExecCounter::FilterChecked), 2);
         // The projection's eliminations are visible per node.
         assert!(trace.counter(ExecCounter::FmCalls) >= 1, "project runs FM per tuple");
-        // Every tuple is a box, so the interval shortcut answered them all.
+        // Every tuple is a box, so every run was handed to intervals on entry.
         assert_eq!(trace.counter(ExecCounter::FmIntervalCalls), trace.counter(ExecCounter::FmCalls));
         assert!(shown.contains(" by interval) peak "), "{}", shown);
         // Safety still enforced.
@@ -1188,6 +1188,37 @@ mod tests {
         execute(&plan, &cat, &ExecOptions::default(), &stats).unwrap();
         assert!(stats.get(ExecCounter::DnfConjunctions) > 0, "negation expansion was counted");
         assert!(stats.get(ExecCounter::FmCalls) > 0, "each product's FM check was counted");
+    }
+
+    #[test]
+    fn difference_normalize_answers_to_the_fm_budget() {
+        use crate::error::CoreError;
+        // 0 ≤ x ≤ 10 minus 3 ≤ y ≤ 5 leaves two 3-atom disjuncts,
+        // y < 3 and 5 < y, so the expansion's checks fit 3 atoms. Deciding
+        // whether one disjunct absorbs the other adds a negated atom to a
+        // disjunct, and that 4-atom check must answer to the same budget.
+        let mut cat = Catalog::new();
+        let schema = Schema::new(vec![
+            AttrDef::str_rel("id"),
+            AttrDef::rat_con("x"),
+            AttrDef::rat_con("y"),
+        ])
+        .unwrap();
+        for (name, attr, lo, hi) in [("L", "x", 0, 10), ("S", "y", 3, 5)] {
+            let mut r = HRelation::new(schema.clone());
+            r.insert_with(|b| b.set("id", "a").range(attr, lo, hi)).unwrap();
+            cat.register(name, r);
+        }
+        let plan = Plan::Difference { left: Box::new(Plan::scan("L")), right: Box::new(Plan::scan("S")) };
+        assert_eq!(run(&plan, &cat).unwrap().len(), 2, "two disjuncts remain");
+        let mut opts = ExecOptions::default();
+        opts.governor.budgets.max_fm_atoms = Some(3);
+        assert_eq!(
+            execute(&plan, &cat, &opts, &ExecStats::new()),
+            Err(CoreError::BudgetExceeded { what: "fm atoms", used: 4, limit: 3 })
+        );
+        opts.governor.budgets.max_fm_atoms = Some(4);
+        assert_eq!(execute(&plan, &cat, &opts, &ExecStats::new()), run(&plan, &cat));
     }
 
     #[test]

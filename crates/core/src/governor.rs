@@ -213,7 +213,7 @@ impl Governor {
 
     /// The constraint-algorithm budget of this governor: its FM-atom and
     /// DNF-conjunction ceilings, counting the peak FM system, the FM calls
-    /// (and those the interval shortcut answered) and the built DNF
+    /// (and those handed to per-variable intervals) and the built DNF
     /// conjunctions into `stats`.
     pub fn budget<'a>(&self, stats: &'a ExecStats) -> cqa_constraints::Budget<'a> {
         cqa_constraints::Budget {

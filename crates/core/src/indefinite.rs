@@ -30,7 +30,7 @@ use crate::relation::HRelation;
 use crate::schema::{AttrKind, Schema};
 use crate::tuple::Tuple;
 use crate::value::Value;
-use cqa_constraints::{Atom, Conjunction, LinExpr, Rel};
+use cqa_constraints::{Atom, Budget, Conjunction, LinExpr, Rel};
 
 /// A relation under the disjunctive (indefinite) reading.
 ///
@@ -159,7 +159,7 @@ impl IndefiniteRelation {
                     return Ok(if truth { Certainty::Always } else { Certainty::Never });
                 }
                 let phi: &Conjunction = tuple.constraint();
-                if phi.implies_atom(atom) {
+                if phi.implies_atom(atom, &Budget::default())? {
                     Ok(Certainty::Always)
                 } else {
                     let mut with = phi.clone();
@@ -191,7 +191,7 @@ impl IndefiniteRelation {
                     expected: "rational",
                 })?;
                 let atom = Atom::var_eq_const(self.schema().var(i), v.clone());
-                if !tuple.constraint().implies_atom(&atom) {
+                if !tuple.constraint().implies_atom(&atom, &Budget::default())? {
                     certain = false;
                     break;
                 }

@@ -80,8 +80,8 @@ pub fn difference(
             // The negation expansion is the algebra's exponential corner:
             // the governor's budget bounds it with a typed error, and
             // every conjunction it constructs is counted into `stats`.
-            let remainder = match minuend.minus(&subtrahend, &budget) {
-                Ok(r) => r.normalize(),
+            let remainder = match minuend.minus(&subtrahend, &budget).and_then(|r| r.normalize(&budget)) {
+                Ok(r) => r,
                 Err(e) => return vec![Err(e.into())],
             };
             remainder

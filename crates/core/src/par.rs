@@ -105,9 +105,11 @@ exec_counters! {
     /// Peak intermediate atom count of any Fourier–Motzkin elimination.
     FmPeakAtoms: "fm_peak_atoms" => "exec.fm.peak_atoms", Max;
     /// Fourier–Motzkin runs (satisfiability checks and projections),
-    /// answered by either the elimination loop or the interval shortcut.
+    /// each counted once, whether or not the loop hands it to intervals.
     FmCalls: "fm_calls" => "exec.fm.calls", Sum;
-    /// Of `exec.fm.calls`, those the interval shortcut answered.
+    /// Of `exec.fm.calls`, those handed to per-variable intervals: the
+    /// working system was a box on entry or became one while variables
+    /// remained.
     FmIntervalCalls: "fm_interval_calls" => "exec.fm.interval_calls", Sum;
     /// Index-assisted selection probes.
     IndexProbes: "index_probes" => "exec.index.probes", Sum;
