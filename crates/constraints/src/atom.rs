@@ -25,11 +25,6 @@ pub enum Rel {
 }
 
 impl Rel {
-    /// Whether the relation admits the boundary (`=` or `≤`).
-    pub fn admits_equality(self) -> bool {
-        matches!(self, Rel::Eq | Rel::Le)
-    }
-
     /// The strictness resulting from chaining two bounds (used by
     /// Fourier–Motzkin): strict if either side is strict.
     pub fn chain(self, other: Rel) -> Rel {

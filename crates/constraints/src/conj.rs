@@ -161,12 +161,6 @@ impl Conjunction {
         })
     }
 
-    /// Keeps only atoms over the given variables by eliminating all others.
-    pub fn project_onto(&self, keep: &BTreeSet<Var>) -> Conjunction {
-        let drop: Vec<Var> = self.vars().into_iter().filter(|v| !keep.contains(v)).collect();
-        self.eliminate(drop)
-    }
-
     /// Substitutes `repl` for `v` in every atom.
     pub fn substitute(&self, v: Var, repl: &LinExpr) -> Conjunction {
         Conjunction::from_atoms(self.atoms.iter().map(|a| a.substitute(v, repl)))

@@ -8,7 +8,6 @@
 //! projection, and satisfiability.
 
 use crate::assignment::Assignment;
-use crate::atom::Atom;
 use crate::budget::{Budget, BudgetExceeded};
 use crate::conj::Conjunction;
 use crate::var::Var;
@@ -202,14 +201,6 @@ impl Dnf {
         self.contained_in(other) && other.contained_in(self)
     }
 
-    /// Adds an atom to every disjunct (conjunction with a single atom).
-    pub fn with_atom(&self, atom: &Atom) -> Dnf {
-        Dnf::from_conjunctions(self.conjs.iter().map(|c| {
-            let mut c = c.clone();
-            c.add(atom.clone());
-            c
-        }))
-    }
 }
 
 impl fmt::Display for Dnf {
@@ -236,6 +227,7 @@ impl fmt::Debug for Dnf {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::atom::Atom;
     use crate::linexpr::LinExpr;
     use cqa_num::Rat;
     use std::sync::atomic::{AtomicU64, Ordering};

@@ -28,7 +28,7 @@ use crate::catalog::Catalog;
 use crate::error::Result;
 use crate::ops;
 use crate::par::{ExecCounter, ExecOptions, ExecStats, N_COUNTERS};
-use crate::plan::{Plan, Predicate};
+use crate::plan::Plan;
 use crate::relation::HRelation;
 use crate::safety;
 use crate::schema::{AttrDef, Schema};
@@ -598,23 +598,15 @@ fn try_index_select(
     if indexes.is_empty() || rel.is_empty() {
         return Ok(None);
     }
-    // Surface validation errors exactly as the unindexed path would.
-    ops::select::validate(rel.schema(), selection)?;
+    // Resolving surfaces errors exactly as the unindexed path would.
+    let schema = rel.schema();
+    let resolved = ops::select::resolve(schema, selection)?;
 
     // The probe window: the QuickBox of the selection's linear predicates
     // over every rational attribute. It encloses every point the
     // selection admits (the refinement re-checks exactly).
-    let schema = rel.schema();
-    let mut conj = Conjunction::tru();
-    for pred in selection.predicates() {
-        let Predicate::Linear { terms, constant, op } = pred else { continue };
-        let expr = ops::select::linear_expr(schema, terms, constant, None)?
-            .expect("no tuple, so no null");
-        if let Ok(atom) = ops::select::linear_atom(expr, *op) {
-            conj.add(atom);
-        }
-    }
-    let window = conj.quick_box(schema.arity());
+    let window = Conjunction::from_atoms(resolved.iter().filter_map(|r| r.window_atom(schema)))
+        .quick_box(schema.arity());
     // A contradiction (x ≥ 10 ∧ x ≤ 5): no tuple can pass the selection,
     // and an inverted probe rectangle would be rejected by the index.
     // Answer directly.
@@ -649,7 +641,7 @@ fn try_index_select(
 
     // Exact refinement on the candidates only, preserving scan order.
     let candidates: Vec<&Tuple> = candidates.into_iter().map(|i| &rel.tuples()[i]).collect();
-    Ok(Some((ops::select::select_tuples(schema, &candidates, selection, opts, stats)?, via)))
+    Ok(Some((ops::select::select_tuples(schema, &candidates, &resolved, opts, stats)?, via)))
 }
 
 /// Schema of whole-feature operator outputs: two relational string
@@ -676,7 +668,7 @@ fn id_pairs_relation(pairs: Vec<(String, String)>) -> HRelation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::{CmpOp, Selection};
+    use crate::plan::{CmpOp, Predicate, Selection};
     use crate::schema::AttrKind;
     use cqa_num::Rat;
     use cqa_spatial::{Feature, Geometry, Point, SpatialRelation};
@@ -1070,6 +1062,31 @@ mod tests {
         );
         let out = run(&plan, &cat).unwrap();
         assert!(out.is_empty());
+    }
+
+    #[test]
+    fn index_path_reports_selection_errors_like_select() {
+        let mut cat = catalog();
+        cat.build_index("R", &["x"]).unwrap();
+        let bounded = Selection::all().cmp_int("x", CmpOp::Ge, 5);
+        for sel in [
+            bounded.clone().cmp_int("missing", CmpOp::Eq, 1),
+            bounded.clone().cmp_int("x", CmpOp::Ne, 1),
+            bounded.clone().cmp_int("id", CmpOp::Le, 3),
+            bounded.clone().str_eq("x", "v"),
+            bounded.with(Predicate::Str { attr: "id".into(), op: CmpOp::Lt, value: "a".into() }),
+        ] {
+            let rel = cat.get("R").unwrap();
+            let plain = ops::select(rel, &sel, &ExecOptions::default(), &ExecStats::new());
+            let indexed = run(&Plan::scan("R").select(sel.clone()), &cat);
+            assert_eq!(
+                indexed.unwrap_err().to_string(),
+                plain.unwrap_err().to_string(),
+                "{:?}",
+                sel
+            );
+        }
+        assert_eq!(cat.indexes("R")[0].accesses(), 0, "no probe before the error");
     }
 
     #[test]

@@ -24,13 +24,12 @@
 //! second semantics for free.
 
 use crate::error::{CoreError, Result};
-use crate::ops::select::{CmpOp, Predicate, Selection};
+use crate::ops::select::{resolve, Applied, Selection};
 use crate::par::{ExecOptions, ExecStats};
 use crate::relation::HRelation;
-use crate::schema::{AttrKind, Schema};
-use crate::tuple::Tuple;
+use crate::schema::Schema;
 use crate::value::Value;
-use cqa_constraints::{Atom, Budget, Conjunction, LinExpr, Rel};
+use cqa_constraints::{Atom, Budget};
 
 /// A relation under the disjunctive (indefinite) reading.
 ///
@@ -79,99 +78,31 @@ impl IndefiniteRelation {
     }
 
     /// The **certain** answer to `ς_ξ`: tuples every candidate world of
-    /// which satisfies the selection.
+    /// which satisfies the selection. A predicate holds in every world
+    /// when it reduces to true on the tuple, or when the tuple's
+    /// constraint part entails its residual atom.
     pub fn certain_select(&self, selection: &Selection) -> Result<IndefiniteRelation> {
-        crate::ops::select::validate(self.schema(), selection)?;
+        let resolved = resolve(self.schema(), selection)?;
         let mut out = HRelation::new(self.schema().clone());
         'tuples: for tuple in self.inner.tuples() {
             if !tuple.is_satisfiable() {
                 continue; // no candidate worlds at all
             }
-            for pred in selection.predicates() {
-                match self.predicate_certain(tuple, pred)? {
-                    Certainty::Always => {}
-                    Certainty::Sometimes | Certainty::Never => continue 'tuples,
+            for pred in &resolved {
+                let always = match pred.apply(tuple) {
+                    Applied::Reject => false,
+                    Applied::Accept => true,
+                    Applied::Residual(atom) => {
+                        tuple.constraint().implies_atom(&atom, &Budget::default())?
+                    }
+                };
+                if !always {
+                    continue 'tuples;
                 }
             }
             out.insert(tuple.clone());
         }
         Ok(IndefiniteRelation::new(out))
-    }
-
-    /// How a predicate relates to a tuple's candidate worlds.
-    fn predicate_certain(&self, tuple: &Tuple, pred: &Predicate) -> Result<Certainty> {
-        let schema = self.schema();
-        match pred {
-            Predicate::Str { attr, op, value } => {
-                let idx = schema.position(attr)?;
-                let held = match tuple.value(idx) {
-                    None => return Ok(Certainty::Never), // null: fails in every world
-                    Some(Value::Str(s)) => s == value,
-                    Some(_) => unreachable!("validated"),
-                };
-                let pass = match op {
-                    CmpOp::Eq => held,
-                    CmpOp::Ne => !held,
-                    _ => unreachable!("validated"),
-                };
-                Ok(if pass { Certainty::Always } else { Certainty::Never })
-            }
-            Predicate::Linear { terms, constant, op } => {
-                // Build the atom with relational values substituted, as in
-                // the ordinary select.
-                let mut expr = LinExpr::constant(constant.clone());
-                for (name, coeff) in terms {
-                    let idx = schema.position(name)?;
-                    match schema.attrs()[idx].kind {
-                        AttrKind::Constraint => expr.add_term(schema.var(idx), coeff.clone()),
-                        AttrKind::Relational => match tuple.value(idx) {
-                            None => return Ok(Certainty::Never),
-                            Some(Value::Rat(v)) => {
-                                let shifted = expr.constant_term() + &(coeff * v);
-                                expr.set_constant(shifted);
-                            }
-                            Some(_) => unreachable!("validated"),
-                        },
-                    }
-                }
-                let atoms = match op {
-                    CmpOp::Eq => vec![Atom::new(expr, Rel::Eq)],
-                    CmpOp::Le => vec![Atom::new(expr, Rel::Le)],
-                    CmpOp::Lt => vec![Atom::new(expr, Rel::Lt)],
-                    CmpOp::Ge => vec![Atom::new(-&expr, Rel::Le)],
-                    CmpOp::Gt => vec![Atom::new(-&expr, Rel::Lt)],
-                    CmpOp::Ne => {
-                        if !expr.is_constant() {
-                            return Err(CoreError::BadPredicate(
-                                "<> over constraint attributes is not a linear constraint"
-                                    .to_string(),
-                            ));
-                        }
-                        return Ok(if expr.constant_term().is_zero() {
-                            Certainty::Never
-                        } else {
-                            Certainty::Always
-                        });
-                    }
-                };
-                let atom = &atoms[0];
-                if let Some(truth) = atom.ground_truth() {
-                    return Ok(if truth { Certainty::Always } else { Certainty::Never });
-                }
-                let phi: &Conjunction = tuple.constraint();
-                if phi.implies_atom(atom, &Budget::default())? {
-                    Ok(Certainty::Always)
-                } else {
-                    let mut with = phi.clone();
-                    with.add(atom.clone());
-                    Ok(if with.is_satisfiable() {
-                        Certainty::Sometimes
-                    } else {
-                        Certainty::Never
-                    })
-                }
-            }
-        }
     }
 
     /// Whether the point is **certainly** in the relation: some tuple's
@@ -210,20 +141,10 @@ impl IndefiniteRelation {
     }
 }
 
-/// Three-valued status of a predicate over a tuple's candidate worlds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Certainty {
-    /// Holds in every candidate world.
-    Always,
-    /// Holds in some but not all candidate worlds.
-    Sometimes,
-    /// Holds in no candidate world.
-    Never,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ops::select::CmpOp;
     use crate::schema::AttrDef;
     use cqa_num::Rat;
 
@@ -313,6 +234,46 @@ mod tests {
         assert!(r.certainly_contains(&standup_at_9).unwrap(), "the only candidate");
         let standup_at_10 = [Value::str("standup"), Value::int(10)];
         assert!(!r.possibly_contains(&standup_at_10).unwrap());
+    }
+
+    /// Meetings with a relational `room`, one of them null, and an
+    /// under-specified constraint `start`.
+    fn booked() -> IndefiniteRelation {
+        let schema = Schema::new(vec![
+            AttrDef::str_rel("what"),
+            AttrDef::rat_rel("room"),
+            AttrDef::rat_con("start"),
+        ])
+        .unwrap();
+        let mut r = HRelation::new(schema);
+        r.insert_with(|b| b.set("what", "standup").set("room", 3).pin("start", Rat::from_int(9)))
+            .unwrap();
+        r.insert_with(|b| b.set("what", "review").set("room", 5).range("start", 14, 16)).unwrap();
+        r.insert_with(|b| b.set("what", "lunch").set("room", 3).range("start", 2, 4)).unwrap();
+        r.insert_with(|b| b.set("what", "night").set("room", 7).range("start", 0, 5)).unwrap();
+        // Room unknown: null fails every predicate that mentions it.
+        r.insert_with(|b| b.set("what", "retro").range("start", 15, 20)).unwrap();
+        IndefiniteRelation::new(r)
+    }
+
+    #[test]
+    fn relational_and_mixed_predicates() {
+        let r = booked();
+        // start >= room: standup (9 ≥ 3) and review ([14,16] ≥ 5) in every
+        // world; lunch ([2,4] vs 3) in some; night ([0,5] vs 7) in none.
+        let after_room = Selection::all().cmp_attrs("start", CmpOp::Ge, "room");
+        assert_eq!(
+            names(&r.possible_select(&after_room).unwrap()),
+            vec!["lunch", "review", "standup"]
+        );
+        assert_eq!(names(&r.certain_select(&after_room).unwrap()), vec!["review", "standup"]);
+        // room = 3 and room <> 3 are decided by the stored value alone.
+        let in_3 = Selection::all().cmp_int("room", CmpOp::Eq, 3);
+        assert_eq!(names(&r.possible_select(&in_3).unwrap()), vec!["lunch", "standup"]);
+        assert_eq!(names(&r.certain_select(&in_3).unwrap()), vec!["lunch", "standup"]);
+        let not_3 = Selection::all().cmp_int("room", CmpOp::Ne, 3);
+        assert_eq!(names(&r.possible_select(&not_3).unwrap()), vec!["night", "review"]);
+        assert_eq!(names(&r.certain_select(&not_3).unwrap()), vec!["night", "review"]);
     }
 
     #[test]

@@ -44,6 +44,21 @@ pub enum CmpOp {
     Gt,
 }
 
+impl CmpOp {
+    /// The atom `expr op 0`; for `<>`, which the linear constraint class
+    /// has no atom for, `expr` is handed back.
+    pub fn atom(self, expr: LinExpr) -> std::result::Result<Atom, LinExpr> {
+        Ok(match self {
+            CmpOp::Eq => Atom::new(expr, Rel::Eq),
+            CmpOp::Le => Atom::new(expr, Rel::Le),
+            CmpOp::Lt => Atom::new(expr, Rel::Lt),
+            CmpOp::Ge => Atom::new(-&expr, Rel::Le),
+            CmpOp::Gt => Atom::new(-&expr, Rel::Lt),
+            CmpOp::Ne => return Err(expr),
+        })
+    }
+}
+
 impl fmt::Display for CmpOp {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(match self {
@@ -79,6 +94,16 @@ pub enum Predicate {
         /// The literal to compare with.
         value: String,
     },
+}
+
+impl Predicate {
+    /// The attribute names this predicate mentions, in order.
+    pub fn attrs(&self) -> Vec<&str> {
+        match self {
+            Predicate::Linear { terms, .. } => terms.iter().map(|(n, _)| n.as_str()).collect(),
+            Predicate::Str { attr, .. } => vec![attr.as_str()],
+        }
+    }
 }
 
 /// A conjunction of predicates — the ξ of `ς_ξ(R)`.
@@ -141,26 +166,10 @@ impl Selection {
     pub fn str_ne(self, attr: impl Into<String>, value: impl Into<String>) -> Selection {
         self.with(Predicate::Str { attr: attr.into(), op: CmpOp::Ne, value: value.into() })
     }
-
-    /// All attribute names this selection mentions.
-    pub fn attrs(&self) -> Vec<&str> {
-        let mut out = Vec::new();
-        for p in &self.predicates {
-            match p {
-                Predicate::Linear { terms, .. } => {
-                    out.extend(terms.iter().map(|(n, _)| n.as_str()))
-                }
-                Predicate::Str { attr, .. } => out.push(attr.as_str()),
-            }
-        }
-        out.sort_unstable();
-        out.dedup();
-        out
-    }
 }
 
-/// Outcome of specializing one predicate against one tuple.
-enum Applied {
+/// Outcome of applying one predicate to one tuple.
+pub(crate) enum Applied {
     /// Tuple fails the predicate outright.
     Reject,
     /// Predicate reduced to a ground truth of `true`.
@@ -169,13 +178,30 @@ enum Applied {
     Residual(Atom),
 }
 
-/// Validates a selection against a schema (attribute existence, types, and
-/// the no-`≠`-over-constraints rule) without touching any tuples.
-pub fn validate(schema: &Schema, selection: &Selection) -> Result<()> {
-    for pred in selection.predicates() {
+/// A predicate resolved against a schema: attributes are positions, their
+/// types and kinds are checked, and the constraint attributes' terms are
+/// already an expression.
+pub(crate) enum Resolved {
+    /// `tuple[pos] = value` (`eq`) or `tuple[pos] <> value`.
+    Str { pos: usize, eq: bool, value: String },
+    /// `expr + Σ coeff·tuple[pos]  op  0`, where `expr` holds the constant
+    /// and the constraint-attribute terms and `relational` the rational
+    /// relational attributes.
+    Linear { expr: LinExpr, relational: Vec<(usize, Rat)>, op: CmpOp },
+}
+
+/// Resolves a selection against a schema, checking attribute existence,
+/// types and the no-`≠`-over-constraints rule predicate by predicate.
+pub(crate) fn resolve(schema: &Schema, selection: &Selection) -> Result<Vec<Resolved>> {
+    selection.predicates().iter().map(|pred| Resolved::new(schema, pred)).collect()
+}
+
+impl Resolved {
+    fn new(schema: &Schema, pred: &Predicate) -> Result<Resolved> {
         match pred {
-            Predicate::Str { attr, op, value: _ } => {
-                let def = schema.attr(attr)?;
+            Predicate::Str { attr, op, value } => {
+                let pos = schema.position(attr)?;
+                let def = &schema.attrs()[pos];
                 if def.ty != AttrType::Str || def.kind != AttrKind::Relational {
                     return Err(CoreError::BadPredicate(format!(
                         "string predicate on non-string attribute {:?}",
@@ -188,36 +214,98 @@ pub fn validate(schema: &Schema, selection: &Selection) -> Result<()> {
                         op
                     )));
                 }
+                Ok(Resolved::Str { pos, eq: *op == CmpOp::Eq, value: value.clone() })
             }
-            Predicate::Linear { terms, op, .. } => {
-                for (name, _) in terms {
-                    let def = schema.attr(name)?;
+            Predicate::Linear { terms, constant, op } => {
+                let mut expr = LinExpr::constant(constant.clone());
+                let mut relational = Vec::new();
+                for (name, coeff) in terms {
+                    let pos = schema.position(name)?;
+                    let def = &schema.attrs()[pos];
                     if def.ty != AttrType::Rat {
                         return Err(CoreError::BadPredicate(format!(
                             "numeric predicate on string attribute {:?}",
                             name
                         )));
                     }
-                    if *op == CmpOp::Ne && def.kind == AttrKind::Constraint {
-                        return Err(CoreError::BadPredicate(
-                            "<> over constraint attributes is not a linear constraint"
-                                .to_string(),
-                        ));
+                    match def.kind {
+                        AttrKind::Relational => relational.push((pos, coeff.clone())),
+                        AttrKind::Constraint if *op == CmpOp::Ne => {
+                            return Err(CoreError::BadPredicate(
+                                "<> over constraint attributes is not a linear constraint"
+                                    .to_string(),
+                            ))
+                        }
+                        AttrKind::Constraint => expr.add_term(schema.var(pos), coeff.clone()),
                     }
                 }
+                Ok(Resolved::Linear { expr, relational, op: *op })
             }
         }
     }
-    Ok(())
+
+    /// The predicate on one tuple: a relational attribute takes the
+    /// tuple's value, and a null one rejects it (narrow semantics).
+    pub(crate) fn apply(&self, tuple: &Tuple) -> Applied {
+        match self {
+            Resolved::Str { pos, eq, value } => match tuple.value(*pos) {
+                None => Applied::Reject,
+                Some(Value::Str(s)) if (s == value) == *eq => Applied::Accept,
+                Some(Value::Str(_)) => Applied::Reject,
+                Some(_) => unreachable!("resolved string attribute"),
+            },
+            Resolved::Linear { expr, relational, op } => {
+                let mut constant = expr.constant_term().clone();
+                for (pos, coeff) in relational {
+                    match tuple.value(*pos) {
+                        None => return Applied::Reject,
+                        Some(Value::Rat(v)) => constant = &constant + &(coeff * v),
+                        Some(_) => unreachable!("resolved rational attribute"),
+                    }
+                }
+                let mut expr = expr.clone();
+                expr.set_constant(constant);
+                decide(expr, *op)
+            }
+        }
+    }
+
+    /// The predicate's atom with every rational attribute a variable, for
+    /// an index probe window; `None` for a string predicate or `<>`.
+    pub(crate) fn window_atom(&self, schema: &Schema) -> Option<Atom> {
+        let Resolved::Linear { expr, relational, op } = self else { return None };
+        let mut expr = expr.clone();
+        for (pos, coeff) in relational {
+            expr.add_term(schema.var(*pos), coeff.clone());
+        }
+        op.atom(expr).ok()
+    }
+}
+
+/// `expr op 0`: a ground comparison decides, others leave their atom.
+fn decide(expr: LinExpr, op: CmpOp) -> Applied {
+    let atom = match op.atom(expr) {
+        Ok(atom) => atom,
+        Err(expr) => {
+            // `<>` resolves only over relational attributes.
+            assert!(expr.is_constant(), "<> over a constraint attribute");
+            return if expr.constant_term().is_zero() { Applied::Reject } else { Applied::Accept };
+        }
+    };
+    match atom.ground_truth() {
+        Some(true) => Applied::Accept,
+        Some(false) => Applied::Reject,
+        None => Applied::Residual(atom),
+    }
 }
 
 /// Applies `ς_ξ` to a relation.
 ///
-/// ξ is split once per call. A linear predicate over constraint
-/// attributes only is the same for every tuple: a constant one is
-/// decided here, and the others' atoms form the *window* conjunction W.
-/// String, relational and mixed predicates are evaluated per tuple, and
-/// each tuple `t` is then processed in this order:
+/// ξ is resolved once per call. A linear predicate over constraint
+/// attributes only is the same for every tuple: a constant one is decided
+/// once, and the others' atoms form the *window* conjunction W. String,
+/// relational and mixed predicates are applied per tuple, and each tuple
+/// `t` is then processed in this order:
 ///
 /// 1. the per-tuple predicates: a failed one rejects `t` (uncounted),
 ///    a mixed one leaves residual atoms P;
@@ -240,35 +328,48 @@ pub fn select(
     opts: &ExecOptions,
     stats: &ExecStats,
 ) -> Result<HRelation> {
+    let resolved = resolve(rel.schema(), selection)?;
     let tuples: Vec<&Tuple> = rel.tuples().iter().collect();
-    select_tuples(rel.schema(), &tuples, selection, opts, stats)
+    select_tuples(rel.schema(), &tuples, &resolved, opts, stats)
 }
 
 /// [`select`] over borrowed tuples of a relation with `schema`, e.g. an
-/// index's candidates.
+/// index's candidates, with ξ already resolved against `schema`.
 pub(crate) fn select_tuples(
     schema: &Schema,
     tuples: &[&Tuple],
-    selection: &Selection,
+    resolved: &[Resolved],
     opts: &ExecOptions,
     stats: &ExecStats,
 ) -> Result<HRelation> {
-    validate(schema, selection)?;
     let arity = schema.arity();
     let governor = &opts.governor;
     let budget = governor.budget(stats);
-    let split = Split::new(schema, selection)?;
-    let window = &split.window;
+    let mut never = false;
+    let mut window = Conjunction::tru();
+    let mut per_tuple = Vec::new();
+    for pred in resolved {
+        match pred {
+            Resolved::Linear { expr, relational, op } if relational.is_empty() => {
+                match decide(expr.clone(), *op) {
+                    Applied::Reject => never = true,
+                    Applied::Accept => {}
+                    Applied::Residual(atom) => window.add(atom),
+                }
+            }
+            _ => per_tuple.push(pred),
+        }
+    }
     let window_seed = opts.bbox_filter.then(|| window.box_seed(arity));
     let produced: Vec<Result<Option<Tuple>>> =
         try_map_chunks(tuples, opts.effective_threads(), Some(governor.token()), |&tuple| {
             governor.check()?;
-            if split.never {
+            if never {
                 return Ok(None);
             }
             let mut extra = Conjunction::tru();
-            for pred in &split.per_tuple {
-                match apply_predicate(schema, tuple, pred)? {
+            for pred in &per_tuple {
+                match pred.apply(tuple) {
                     Applied::Reject => return Ok(None),
                     Applied::Accept => {}
                     Applied::Residual(atom) => extra.add(atom),
@@ -285,7 +386,7 @@ pub(crate) fn select_tuples(
                     return Ok(None);
                 }
             }
-            let mut residual = tuple.constraint().and(window);
+            let mut residual = tuple.constraint().and(&window);
             for atom in extra.atoms() {
                 residual.add(atom.clone());
             }
@@ -303,154 +404,6 @@ pub(crate) fn select_tuples(
         }
     }
     Ok(out)
-}
-
-/// A selection split for one call into what every tuple shares and what
-/// depends on the tuple.
-struct Split<'s> {
-    /// A constant predicate is false, so no tuple passes.
-    never: bool,
-    /// The atoms of the non-constant linear predicates over constraint
-    /// attributes only.
-    window: Conjunction,
-    /// The string, relational and mixed predicates, in order.
-    per_tuple: Vec<&'s Predicate>,
-}
-
-impl<'s> Split<'s> {
-    fn new(schema: &Schema, selection: &'s Selection) -> Result<Split<'s>> {
-        let mut split = Split { never: false, window: Conjunction::tru(), per_tuple: Vec::new() };
-        for pred in selection.predicates() {
-            let Predicate::Linear { terms, constant, op } = pred else {
-                split.per_tuple.push(pred);
-                continue;
-            };
-            let constraint_only = terms.iter().all(|(name, _)| {
-                schema.attr(name).is_ok_and(|def| def.kind == AttrKind::Constraint)
-            });
-            if !constraint_only {
-                split.per_tuple.push(pred);
-                continue;
-            }
-            let expr = linear_expr(schema, terms, constant, None)?.expect("no tuple, so no null");
-            match decide(expr, *op)? {
-                Applied::Reject => split.never = true,
-                Applied::Accept => {}
-                Applied::Residual(atom) => split.window.add(atom),
-            }
-        }
-        Ok(split)
-    }
-}
-
-fn apply_predicate(schema: &Schema, tuple: &Tuple, pred: &Predicate) -> Result<Applied> {
-    match pred {
-        Predicate::Str { attr, op, value } => {
-            let def = schema.attr(attr)?;
-            if def.ty != AttrType::Str || def.kind != AttrKind::Relational {
-                return Err(CoreError::BadPredicate(format!(
-                    "string predicate on non-string attribute {:?}",
-                    attr
-                )));
-            }
-            let idx = schema.position(attr)?;
-            let held = match tuple.value(idx) {
-                None => return Ok(Applied::Reject), // null: narrow
-                Some(Value::Str(s)) => s == value,
-                Some(_) => unreachable!("validated string attribute"),
-            };
-            let pass = match op {
-                CmpOp::Eq => held,
-                CmpOp::Ne => !held,
-                other => {
-                    return Err(CoreError::BadPredicate(format!(
-                        "operator {} is not defined on strings",
-                        other
-                    )))
-                }
-            };
-            Ok(if pass { Applied::Accept } else { Applied::Reject })
-        }
-        Predicate::Linear { terms, constant, op } => {
-            let Some(expr) = linear_expr(schema, terms, constant, Some(tuple))? else {
-                return Ok(Applied::Reject); // null: narrow
-            };
-            decide(expr, *op)
-        }
-    }
-}
-
-/// `expr op 0`: a ground comparison decides, others leave their atom.
-fn decide(expr: LinExpr, op: CmpOp) -> Result<Applied> {
-    let atom = match linear_atom(expr, op) {
-        Ok(atom) => atom,
-        // ≠ requires a ground (fully relational) expression.
-        Err(expr) => {
-            if !expr.is_constant() {
-                return Err(CoreError::BadPredicate(
-                    "<> over constraint attributes is not a linear constraint".to_string(),
-                ));
-            }
-            return Ok(if expr.constant_term().is_zero() {
-                Applied::Reject
-            } else {
-                Applied::Accept
-            });
-        }
-    };
-    Ok(match atom.ground_truth() {
-        Some(true) => Applied::Accept,
-        Some(false) => Applied::Reject,
-        None => Applied::Residual(atom),
-    })
-}
-
-/// `Σ coeffᵢ·attrᵢ + constant` over the schema's constraint variables,
-/// every rational attribute being a variable. Given a tuple, relational
-/// attributes take its values instead, and the result is `None` when one
-/// of them is null.
-pub(crate) fn linear_expr(
-    schema: &Schema,
-    terms: &[(String, Rat)],
-    constant: &Rat,
-    tuple: Option<&Tuple>,
-) -> Result<Option<LinExpr>> {
-    let mut expr = LinExpr::constant(constant.clone());
-    for (name, coeff) in terms {
-        let def = schema.attr(name)?;
-        if def.ty != AttrType::Rat {
-            return Err(CoreError::BadPredicate(format!(
-                "numeric predicate on string attribute {:?}",
-                name
-            )));
-        }
-        let idx = schema.position(name)?;
-        match (def.kind, tuple) {
-            (AttrKind::Relational, Some(tuple)) => match tuple.value(idx) {
-                None => return Ok(None),
-                Some(Value::Rat(v)) => {
-                    let shifted = expr.constant_term() + &(coeff * v);
-                    expr.set_constant(shifted);
-                }
-                Some(_) => unreachable!("validated rational attribute"),
-            },
-            _ => expr.add_term(schema.var(idx), coeff.clone()),
-        }
-    }
-    Ok(Some(expr))
-}
-
-/// The atom `expr op 0`; for `<>`, which the linear constraint class has
-/// no atom for, `expr` is handed back.
-pub(crate) fn linear_atom(expr: LinExpr, op: CmpOp) -> std::result::Result<Atom, LinExpr> {
-    Ok(match op {
-        CmpOp::Eq => Atom::new(expr, Rel::Eq),
-        CmpOp::Le => Atom::new(expr, Rel::Le),
-        CmpOp::Lt => Atom::new(expr, Rel::Lt),
-        CmpOp::Ge => Atom::new(-&expr, Rel::Le),
-        CmpOp::Gt => Atom::new(-&expr, Rel::Lt),
-        CmpOp::Ne => return Err(expr),
-    })
 }
 
 #[cfg(test)]
@@ -586,23 +539,24 @@ mod tests {
         assert_eq!(out.tuples()[0].value(0), Some(&Value::int(41)));
     }
 
-    /// The per-tuple loop `select` had before ξ was split: every tuple's
-    /// residual is built from its conjunction and every predicate, then
-    /// filtered on its box, then checked exactly.
+    /// The per-tuple loop `select` had before ξ was resolved and split:
+    /// every tuple's residual is built from its conjunction and every
+    /// predicate, evaluated by attribute name, then filtered on its box,
+    /// then checked exactly.
     fn reference_select(
         rel: &HRelation,
         selection: &Selection,
         opts: &ExecOptions,
         stats: &ExecStats,
     ) -> Result<HRelation> {
-        validate(rel.schema(), selection)?;
+        reference_validate(rel.schema(), selection)?;
         let schema = rel.schema();
         let budget = opts.governor.budget(stats);
         let mut out = HRelation::new(schema.clone());
         'tuples: for tuple in rel.tuples() {
             let mut residual = tuple.constraint().clone();
             for pred in selection.predicates() {
-                match apply_predicate(schema, tuple, pred)? {
+                match reference_apply(schema, tuple, pred)? {
                     Applied::Reject => continue 'tuples,
                     Applied::Accept => {}
                     Applied::Residual(atom) => residual.add(atom),
@@ -620,6 +574,96 @@ mod tests {
             }
         }
         Ok(out)
+    }
+
+    /// The checks [`resolve`] makes, predicate by predicate, written
+    /// against attribute names.
+    fn reference_validate(schema: &Schema, selection: &Selection) -> Result<()> {
+        for pred in selection.predicates() {
+            match pred {
+                Predicate::Str { attr, op, value: _ } => {
+                    let def = schema.attr(attr)?;
+                    if def.ty != AttrType::Str || def.kind != AttrKind::Relational {
+                        return Err(CoreError::BadPredicate(format!(
+                            "string predicate on non-string attribute {:?}",
+                            attr
+                        )));
+                    }
+                    if !matches!(op, CmpOp::Eq | CmpOp::Ne) {
+                        return Err(CoreError::BadPredicate(format!(
+                            "operator {} is not defined on strings",
+                            op
+                        )));
+                    }
+                }
+                Predicate::Linear { terms, op, .. } => {
+                    for (name, _) in terms {
+                        let def = schema.attr(name)?;
+                        if def.ty != AttrType::Rat {
+                            return Err(CoreError::BadPredicate(format!(
+                                "numeric predicate on string attribute {:?}",
+                                name
+                            )));
+                        }
+                        if *op == CmpOp::Ne && def.kind == AttrKind::Constraint {
+                            return Err(CoreError::BadPredicate(
+                                "<> over constraint attributes is not a linear constraint"
+                                    .to_string(),
+                            ));
+                        }
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// One predicate on one tuple, looking every attribute up by name.
+    fn reference_apply(schema: &Schema, tuple: &Tuple, pred: &Predicate) -> Result<Applied> {
+        match pred {
+            Predicate::Str { attr, op, value } => {
+                let held = match tuple.value(schema.position(attr)?) {
+                    None => return Ok(Applied::Reject), // null: narrow
+                    Some(v) => v.as_str() == Some(value.as_str()),
+                };
+                let pass = if *op == CmpOp::Eq { held } else { !held };
+                Ok(if pass { Applied::Accept } else { Applied::Reject })
+            }
+            Predicate::Linear { terms, constant, op } => {
+                let mut expr = LinExpr::constant(constant.clone());
+                for (name, coeff) in terms {
+                    let idx = schema.position(name)?;
+                    match schema.attrs()[idx].kind {
+                        AttrKind::Relational => match tuple.value(idx) {
+                            None => return Ok(Applied::Reject), // null: narrow
+                            Some(v) => {
+                                let v = v.as_rat().expect("validated rational attribute");
+                                let shifted = expr.constant_term() + &(coeff * v);
+                                expr.set_constant(shifted);
+                            }
+                        },
+                        AttrKind::Constraint => expr.add_term(schema.var(idx), coeff.clone()),
+                    }
+                }
+                let atom = match op {
+                    CmpOp::Eq => Atom::new(expr, Rel::Eq),
+                    CmpOp::Le => Atom::new(expr, Rel::Le),
+                    CmpOp::Lt => Atom::new(expr, Rel::Lt),
+                    CmpOp::Ge => Atom::new(-&expr, Rel::Le),
+                    CmpOp::Gt => Atom::new(-&expr, Rel::Lt),
+                    CmpOp::Ne => {
+                        assert!(expr.is_constant(), "validated: <> is over relational attributes");
+                        let pass = !expr.constant_term().is_zero();
+                        return Ok(if pass { Applied::Accept } else { Applied::Reject });
+                    }
+                };
+                Ok(match atom.ground_truth() {
+                    Some(true) => Applied::Accept,
+                    Some(false) => Applied::Reject,
+                    None => Applied::Residual(atom),
+                })
+            }
+        }
     }
 
     /// `[id: string relational, a: rational relational, x, y: rational
@@ -644,16 +688,24 @@ mod tests {
     }
 
     /// [`select`] and [`reference_select`] agree on output tuples, their
-    /// order, and every executor counter, at threads 1 and 2 with the box
-    /// filter on and off.
+    /// order, or the error's text, and on every executor counter, at
+    /// threads 1 and 2 with the box filter on and off.
     fn assert_matches_reference(rel: &HRelation, selection: &Selection) {
         for threads in [1, 2] {
             for bbox_filter in [false, true] {
                 let opts = ExecOptions { threads, bbox_filter, ..ExecOptions::default() };
                 let (got_stats, want_stats) = (ExecStats::new(), ExecStats::new());
-                let got = select(rel, selection, &opts, &got_stats).unwrap();
-                let want = reference_select(rel, selection, &opts, &want_stats).unwrap();
-                assert_eq!(got.tuples(), want.tuples(), "{:?}", selection);
+                let got = select(rel, selection, &opts, &got_stats);
+                let want = reference_select(rel, selection, &opts, &want_stats);
+                match (got, want) {
+                    (Ok(got), Ok(want)) => {
+                        assert_eq!(got.tuples(), want.tuples(), "{:?}", selection)
+                    }
+                    (Err(got), Err(want)) => {
+                        assert_eq!(got.to_string(), want.to_string(), "{:?}", selection)
+                    }
+                    (got, want) => panic!("{:?}: {:?} vs {:?}", selection, got, want),
+                }
                 assert_eq!(got_stats.values(), want_stats.values(), "{:?}", selection);
             }
         }
@@ -724,7 +776,8 @@ mod tests {
         }
 
         /// One conjunct of each kind: constraint-only on one or two
-        /// variables, relational, mixed, string, and constant-only.
+        /// variables, relational, mixed, string, and constant-only; and,
+        /// one draw in twenty, one the schema rejects.
         fn arb_predicate() -> impl Strategy<Value = Predicate> {
             let op =
                 prop::sample::select(vec![CmpOp::Eq, CmpOp::Le, CmpOp::Lt, CmpOp::Ge, CmpOp::Gt]);
@@ -736,21 +789,31 @@ mod tests {
                 CmpOp::Ge,
                 CmpOp::Gt,
             ]);
-            (0u8..8, op, any_op, -6i64..=6, -2i64..=2).prop_map(|(kind, op, any_op, k, c)| {
-                match kind {
+            let str_pred = |attr: &str, op| Predicate::Str {
+                attr: attr.to_string(),
+                op,
+                value: "p".to_string(),
+            };
+            let draws = (0u8..100, op, any_op, -6i64..=6, -2i64..=2);
+            draws.prop_map(move |(kind, op, any_op, k, c)| match kind {
+                // Rejected: an unknown attribute, `<>` on a constraint
+                // attribute, a numeric predicate on a string, a string
+                // predicate on a rational, and `<=` on a string.
+                95 => linear(&[("x", 1), ("z", 1)], k, op),
+                96 => linear(&[("a", 1), ("x", 1)], k, CmpOp::Ne),
+                97 => linear(&[("a", 1), ("id", 1)], k, op),
+                98 => str_pred("a", CmpOp::Eq),
+                99 => str_pred("id", CmpOp::Le),
+                _ => match kind % 8 {
                     0 => linear(&[("x", 1)], -k, op),
                     1 => linear(&[("y", 1)], -k, op),
                     2 => linear(&[("x", 1), ("y", c)], k, op),
                     3 => linear(&[("a", 1)], -k, any_op),
                     4 => linear(&[("x", 1), ("a", -1)], k, op),
                     5 => linear(&[("x", 1), ("y", c), ("a", 1)], k, op),
-                    6 => Predicate::Str {
-                        attr: "id".to_string(),
-                        op: if c < 0 { CmpOp::Ne } else { CmpOp::Eq },
-                        value: "p".to_string(),
-                    },
+                    6 => str_pred("id", if c < 0 { CmpOp::Ne } else { CmpOp::Eq }),
                     _ => linear(&[], k.signum(), any_op),
-                }
+                },
             })
         }
 

@@ -127,7 +127,7 @@ fn rewrite(plan: &Plan, catalog: &Catalog) -> Result<Plan> {
                 let mut to_right = Selection::all();
                 let mut stay = Selection::all();
                 for p in selection.predicates() {
-                    let attrs = predicate_attrs(p);
+                    let attrs = p.attrs();
                     let all_left = attrs.iter().all(|a| ls.contains(a));
                     let all_right = attrs.iter().all(|a| rs.contains(a));
                     if all_left {
@@ -214,13 +214,6 @@ fn maybe_select(plan: Plan, selection: Selection) -> Plan {
         plan
     } else {
         Plan::Select { input: Box::new(plan), selection }
-    }
-}
-
-fn predicate_attrs(p: &Predicate) -> Vec<&str> {
-    match p {
-        Predicate::Linear { terms, .. } => terms.iter().map(|(n, _)| n.as_str()).collect(),
-        Predicate::Str { attr, .. } => vec![attr.as_str()],
     }
 }
 

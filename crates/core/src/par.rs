@@ -21,8 +21,7 @@ use crate::governor::Governor;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 pub use cqa_num::par::{
-    effective_threads, flat_map_chunks, map_chunks, try_flat_map_chunks, try_map_chunks,
-    CancelToken, Cancelled,
+    effective_threads, map_chunks, try_flat_map_chunks, try_map_chunks, CancelToken, Cancelled,
 };
 
 /// Evaluation knobs, threaded from the shell/driver down to operators.

@@ -9,7 +9,6 @@ use crate::error::Result;
 use crate::schema::Schema;
 use crate::tuple::Tuple;
 use crate::value::Value;
-use cqa_constraints::Var;
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -83,37 +82,9 @@ impl HRelation {
         self.tuples.retain(|t| t.is_satisfiable());
     }
 
-    /// A printer naming constraint variables after their attributes.
-    pub fn var_namer(&self) -> impl Fn(Var) -> String + '_ {
-        move |v: Var| {
-            self.schema
-                .attrs()
-                .get(v.0 as usize)
-                .map(|a| a.name.clone())
-                .unwrap_or_else(|| v.to_string())
-        }
-    }
-
-    /// Consumes the relation into its parts.
-    pub fn into_parts(self) -> (Schema, Vec<Tuple>) {
-        (self.schema, self.tuples)
-    }
-
     /// Builds from parts (operators use this).
     pub(crate) fn from_parts(schema: Schema, tuples: Vec<Tuple>) -> HRelation {
         HRelation { schema, tuples }
-    }
-
-    /// Semantic equivalence check for *purely constraint* relations over
-    /// the same schema: mutual containment of the denoted point sets.
-    /// (Used in tests; exponential in the worst case.)
-    pub fn equivalent_constraint_part(&self, other: &HRelation) -> bool {
-        let to_dnf = |r: &HRelation| {
-            cqa_constraints::Dnf::from_conjunctions(
-                r.tuples.iter().map(|t| t.constraint().clone()),
-            )
-        };
-        self.schema == other.schema && to_dnf(self).equivalent(&to_dnf(other))
     }
 }
 

@@ -181,24 +181,16 @@ pub(crate) fn build_tuple(schema: &Schema, conds: &[Cond], line: usize) -> Resul
         let pred = crate::lower::lower_condition(cond, line)?;
         match pred {
             cqa_core::plan::Predicate::Linear { terms, constant, op } => {
-                use cqa_constraints::{Atom, LinExpr, Rel};
-                let mut expr = LinExpr::constant(constant);
+                let mut expr = cqa_constraints::LinExpr::constant(constant);
                 for (name, coeff) in terms {
                     let var = schema
                         .var_of(&name)
                         .map_err(|e| err(e.to_string()))?;
                     expr.add_term(var, coeff);
                 }
-                let atom = match op {
-                    cqa_core::plan::CmpOp::Eq => Atom::new(expr, Rel::Eq),
-                    cqa_core::plan::CmpOp::Le => Atom::new(expr, Rel::Le),
-                    cqa_core::plan::CmpOp::Lt => Atom::new(expr, Rel::Lt),
-                    cqa_core::plan::CmpOp::Ge => Atom::new(-&expr, Rel::Le),
-                    cqa_core::plan::CmpOp::Gt => Atom::new(-&expr, Rel::Lt),
-                    cqa_core::plan::CmpOp::Ne => {
-                        return Err(err("'<>' cannot appear in a constraint tuple".into()))
-                    }
-                };
+                let atom = op
+                    .atom(expr)
+                    .map_err(|_| err("'<>' cannot appear in a constraint tuple".into()))?;
                 builder = builder.atom(atom);
             }
             cqa_core::plan::Predicate::Str { .. } => {

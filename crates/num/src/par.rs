@@ -90,20 +90,6 @@ pub fn effective_threads(requested: usize) -> usize {
     }
 }
 
-/// Applies `f` to every item and concatenates the produced vectors in
-/// input order, using up to `threads` worker threads.
-///
-/// Deterministic: the result is identical for every `threads` value.
-pub fn flat_map_chunks<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> Vec<R> + Sync,
-{
-    // Without a token `run_chunks` cannot report `Cancelled`.
-    try_flat_map_chunks(items, threads, None, f).unwrap_or_default()
-}
-
 /// Applies `f` to every item, preserving input order (one output per
 /// input), using up to `threads` worker threads.
 pub fn map_chunks<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
@@ -115,7 +101,11 @@ where
     try_map_chunks(items, threads, None, f).unwrap_or_default()
 }
 
-/// [`flat_map_chunks`] with an optional cancellation token.
+/// Applies `f` to every item and concatenates the produced vectors in
+/// input order, using up to `threads` worker threads, with an optional
+/// cancellation token.
+///
+/// Deterministic: the result is identical for every `threads` value.
 ///
 /// Workers poll `token` between chunks and stop pulling work once it is
 /// raised; if the token is raised at any point before the run completes
@@ -251,7 +241,8 @@ mod tests {
         let serial: Vec<u64> =
             items.iter().flat_map(|&x| vec![x * 3, x * 3 + 1]).collect();
         for threads in [1, 2, 3, 4, 7, 16] {
-            let par = flat_map_chunks(&items, threads, |&x| vec![x * 3, x * 3 + 1]);
+            let par =
+                try_flat_map_chunks(&items, threads, None, |&x| vec![x * 3, x * 3 + 1]).unwrap();
             assert_eq!(par, serial, "threads = {threads}");
         }
     }
@@ -268,7 +259,7 @@ mod tests {
     #[test]
     fn empty_and_tiny_inputs() {
         let empty: Vec<u8> = Vec::new();
-        assert!(flat_map_chunks(&empty, 8, |&x| vec![x]).is_empty());
+        assert!(try_flat_map_chunks(&empty, 8, None, |&x| vec![x]).unwrap().is_empty());
         assert_eq!(map_chunks(&[9u8], 8, |&x| x), vec![9]);
     }
 
@@ -277,7 +268,7 @@ mod tests {
         // Items emit variable-length runs; order must still be exact.
         let items: Vec<usize> = (0..300).collect();
         let expect: Vec<usize> = items.iter().flat_map(|&x| (0..x % 5).map(move |_| x)).collect();
-        let got = flat_map_chunks(&items, 6, |&x| vec![x; x % 5]);
+        let got = try_flat_map_chunks(&items, 6, None, |&x| vec![x; x % 5]).unwrap();
         assert_eq!(got, expect);
     }
 

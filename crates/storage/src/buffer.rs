@@ -152,11 +152,6 @@ impl<D: DiskManager> BufferPool<D> {
         self
     }
 
-    /// Whether per-page CRC maintenance is on.
-    pub fn checksums_enabled(&self) -> bool {
-        self.checksums
-    }
-
     /// The underlying disk manager (e.g. to inspect fault-injection
     /// counters mid-run).
     pub fn disk(&self) -> &D {

@@ -5,6 +5,10 @@
 # already fails internally if any grid cell diverges).
 set -euo pipefail
 cd "$(dirname "$0")/.."
+# Output files go to a private directory, so concurrent runs do not
+# clobber each other; it is removed on exit.
+outdir=$(mktemp -d)
+trap 'rm -rf "$outdir"' EXIT
 
 echo "== tier-1: build (RUSTFLAGS=-D warnings) =="
 RUSTFLAGS="-D warnings" cargo build --release
@@ -57,9 +61,9 @@ fi
 echo "region_select seed 1: correct, no failed operations"
 
 echo "== parallel determinism gate: quick grid, twice =="
-out1=$(cargo run -q --release -p cqa-bench --bin parallel_speedup -- --quick --out /tmp/verify_parallel_1.json)
+out1=$(cargo run -q --release -p cqa-bench --bin parallel_speedup -- --quick --out "$outdir/parallel_1.json")
 echo "$out1"
-out2=$(cargo run -q --release -p cqa-bench --bin parallel_speedup -- --quick --out /tmp/verify_parallel_2.json)
+out2=$(cargo run -q --release -p cqa-bench --bin parallel_speedup -- --quick --out "$outdir/parallel_2.json")
 
 hash1=$(echo "$out1" | grep '^RESULT_HASH')
 hash2=$(echo "$out2" | grep '^RESULT_HASH')
@@ -76,11 +80,11 @@ echo "== observability gates: overhead <= 3%, golden metrics snapshot =="
 # --gate makes obs_bench exit non-zero if the median ratio of
 # interleaved telemetry-enabled (metrics + event log) / disabled runs of
 # the bench join exceeds 1.03 (at least 21 pairs, at least 3 s per side).
-cargo run -q --release -p cqa-bench --bin obs_bench -- --quick --gate --out /tmp/verify_obs.json
+cargo run -q --release -p cqa-bench --bin obs_bench -- --quick --gate --out "$outdir/obs.json"
 # The seeded golden workload must reproduce the committed counter
 # snapshot exactly (counts only — no timings — so this is bit-stable).
-cargo run -q --release -p cqa-bench --bin obs_bench -- --golden > /tmp/verify_obs_golden.txt
-if ! diff -u tests/golden/metrics_seeded.txt /tmp/verify_obs_golden.txt; then
+cargo run -q --release -p cqa-bench --bin obs_bench -- --golden > "$outdir/obs_golden.txt"
+if ! diff -u tests/golden/metrics_seeded.txt "$outdir/obs_golden.txt"; then
     echo "golden metrics snapshot diverged (see diff above)" >&2
     exit 1
 fi
@@ -90,8 +94,8 @@ echo "== telemetry export gate: canonical Prometheus exposition =="
 # The same seeded workload rendered through the canonical exporter
 # (timing series skipped) must match byte-for-byte — this is the text a
 # scraper sees on GET /metrics, minus the wall-clock-dependent series.
-cargo run -q --release -p cqa-bench --bin obs_bench -- --golden-prom > /tmp/verify_obs_prom.txt
-if ! diff -u tests/golden/prometheus_seeded.txt /tmp/verify_obs_prom.txt; then
+cargo run -q --release -p cqa-bench --bin obs_bench -- --golden-prom > "$outdir/obs_prom.txt"
+if ! diff -u tests/golden/prometheus_seeded.txt "$outdir/obs_prom.txt"; then
     echo "golden Prometheus exposition diverged (see diff above)" >&2
     exit 1
 fi
