@@ -1,8 +1,9 @@
 //! Fault-matrix sweep: storage robustness under injected faults.
 //!
-//! Persists a reference relation through a checksummed buffer pool over a
-//! [`FaultyDisk`], sweeping fault kind × injection rate × schedule seed,
-//! and asserts the robustness contract at every cell:
+//! Persists a reference relation through a buffer pool over a
+//! [`FaultyDisk`] (the pool seals and verifies every page, as every pool
+//! does), sweeping fault kind × injection rate × schedule seed, and
+//! asserts the robustness contract at every cell:
 //!
 //! * every injected fault that reaches the caller is a **typed error**
 //!   (`PersistError::Storage` / `Corrupt`) — the process never panics;
@@ -53,7 +54,7 @@ struct Cell {
     outcome: &'static str,
 }
 
-/// One sweep cell: save + flush + load through a faulty, checksummed pool.
+/// One sweep cell: save + flush + load through a pool over a faulty disk.
 /// Returns the cell summary, or an error message on contract violation.
 fn run_cell(
     original: &HRelation,
@@ -62,8 +63,7 @@ fn run_cell(
     capacity: usize,
 ) -> Result<Cell, String> {
     let rate = cfg.io_error_rate + cfg.torn_write_rate + cfg.bit_flip_rate;
-    let mut pool = BufferPool::new(FaultyDisk::new(MemDisk::new(), cfg), capacity)
-        .with_checksums();
+    let mut pool = BufferPool::new(FaultyDisk::new(MemDisk::new(), cfg), capacity);
     let outcome = save_relation(original, &mut pool)
         .and_then(|heap| {
             pool.flush()?;

@@ -363,7 +363,7 @@ fn run_golden_workload() {
     // writebacks, retried I/O errors, and checksum rereads all fire
     // deterministically from the seed.
     let disk = FaultyDisk::new(MemDisk::new(), FaultConfig::only(13, FaultKind::IoError, 0.15));
-    let mut pool = BufferPool::new(disk, 2).with_checksums();
+    let mut pool = BufferPool::new(disk, 2);
     let mut pages = Vec::new();
     for _ in 0..6 {
         pages.push(pool.allocate().expect("allocate"));

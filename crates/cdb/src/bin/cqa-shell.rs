@@ -30,14 +30,14 @@
 //!   governor aborts dump spans + metrics + the active plan to
 //!   `DIR/flight-*.json`.
 
-use cqa::core::{exec, optimizer, Catalog, ExecCounter};
+use cqa::core::{exec, optimizer, Catalog, ExecCounter, ExecOptions};
 use cqa::lang::lower::lower_expr;
 use cqa::lang::parse::parse_script;
 use cqa::lang::schema_def::parse_cdb;
 use cqa::lang::ScriptRunner;
 use cqa::obs::metrics::MetricValue;
 use cqa::obs::Snapshot;
-use std::io::{BufRead, Write};
+use std::io::{BufRead, IsTerminal, Write};
 use std::time::Instant;
 
 /// Shell-owned telemetry state: the listener (dropped, and thus cleanly
@@ -159,7 +159,9 @@ fn load_cdb(catalog: &mut Catalog, path: &str) -> Result<(), String> {
 fn repl(runner: &mut ScriptRunner, telemetry: &mut Telemetry) {
     let stdin = std::io::stdin();
     let mut out = std::io::stdout();
-    let interactive = is_tty();
+    // Prompt only when a person is typing: not for piped input, and not
+    // when `CQA_NONINTERACTIVE` is set (e.g. a terminal pane being captured).
+    let interactive = stdin.is_terminal() && std::env::var_os("CQA_NONINTERACTIVE").is_none();
     loop {
         if interactive {
             print!("cqa> ");
@@ -407,13 +409,7 @@ fn meta_command(runner: &mut ScriptRunner, telemetry: &mut Telemetry, cmd: &str)
                         o.effective_threads(),
                         if o.bbox_filter { "on" } else { "off" }
                     );
-                    println!(
-                        "timeout = {}, budget fm = {}, budget dnf = {}, budget tuples = {}",
-                        fmt_timeout(o.governor.timeout),
-                        fmt_limit(o.governor.budgets.max_fm_atoms),
-                        fmt_limit(o.governor.budgets.max_dnf_conjunctions),
-                        fmt_limit(o.governor.budgets.max_output_tuples),
-                    );
+                    print_governor_settings(o);
                 }
                 None => eprintln!(
                     "usage: \\set threads N | \\set filter on|off | \\set timeout MS|off | \\set budget fm|dnf|tuples N|off | \\set"
@@ -424,13 +420,7 @@ fn meta_command(runner: &mut ScriptRunner, telemetry: &mut Telemetry, cmd: &str)
             "governor" | "" => {
                 let o = runner.exec_options();
                 let stats = runner.exec_stats();
-                println!(
-                    "timeout = {}, budget fm = {}, budget dnf = {}, budget tuples = {}",
-                    fmt_timeout(o.governor.timeout),
-                    fmt_limit(o.governor.budgets.max_fm_atoms),
-                    fmt_limit(o.governor.budgets.max_dnf_conjunctions),
-                    fmt_limit(o.governor.budgets.max_output_tuples),
-                );
+                print_governor_settings(o);
                 println!(
                     "governor checks (last run) = {}, fm peak atoms = {}",
                     o.governor.checks(),
@@ -466,7 +456,9 @@ fn meta_command(runner: &mut ScriptRunner, telemetry: &mut Telemetry, cmd: &str)
         },
         "open" => match cqa::lang::db::open_catalog(rest) {
             Ok(catalog) => {
-                *runner = ScriptRunner::new(catalog);
+                // Swap the catalog only: `\set` options and `\stats`
+                // counters are session state and survive the reopen.
+                *runner.catalog_mut() = catalog;
                 println!("opened database {}", rest);
             }
             Err(e) => eprintln!("error: {}", e),
@@ -476,18 +468,17 @@ fn meta_command(runner: &mut ScriptRunner, telemetry: &mut Telemetry, cmd: &str)
     true
 }
 
-fn fmt_timeout(t: Option<std::time::Duration>) -> String {
-    match t {
-        Some(d) => format!("{} ms", d.as_millis()),
-        None => "off".into(),
-    }
-}
-
-fn fmt_limit(l: Option<u64>) -> String {
-    match l {
-        Some(n) => n.to_string(),
-        None => "off".into(),
-    }
+/// The governor line of `\set` and `\stats governor`.
+fn print_governor_settings(o: &ExecOptions) {
+    let off_or = |v: Option<String>| v.unwrap_or_else(|| "off".into());
+    let budgets = &o.governor.budgets;
+    println!(
+        "timeout = {}, budget fm = {}, budget dnf = {}, budget tuples = {}",
+        off_or(o.governor.timeout.map(|d| format!("{} ms", d.as_millis()))),
+        off_or(budgets.max_fm_atoms.map(|n| n.to_string())),
+        off_or(budgets.max_dnf_conjunctions.map(|n| n.to_string())),
+        off_or(budgets.max_output_tuples.map(|n| n.to_string())),
+    );
 }
 
 fn stmt_query(
@@ -497,16 +488,4 @@ fn stmt_query(
         cqa::lang::ast::Statement::Query { expr, line, .. } => Some((expr, *line)),
         _ => None,
     }
-}
-
-#[cfg(unix)]
-fn is_tty() -> bool {
-    // Avoid a libc dependency: /proc-free heuristic via isatty on fd 0
-    // is unavailable without libc, so fall back to the TERM heuristic.
-    std::env::var_os("TERM").is_some() && std::env::var_os("CQA_NONINTERACTIVE").is_none()
-}
-
-#[cfg(not(unix))]
-fn is_tty() -> bool {
-    true
 }

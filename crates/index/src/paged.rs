@@ -5,10 +5,15 @@
 //! [`cqa_storage`], and searches fetch pages through a [`BufferPool`], so
 //! the pool's [`AccessStats`](cqa_storage::AccessStats) reports real page
 //! traffic (with whatever caching the pool is configured for).
+//!
+//! A node's bytes start after the [`PAGE_HEADER`], so node pages are sealed
+//! and verified by the pool like every other page: a corrupted node fails
+//! a search with a typed error instead of steering it.
 
 use crate::rect::Rect;
 use crate::rstar::{NodeKind, RStarTree};
 use cqa_storage::codec::{Reader, Writer};
+use cqa_storage::page::PAGE_HEADER;
 use cqa_storage::{BufferPool, DiskManager, PageId, Result, StorageError, PAGE_SIZE};
 
 /// A persisted R\*-tree: the root page and nothing else in memory.
@@ -25,13 +30,8 @@ pub fn persist<const D: usize, M: DiskManager>(
     tree: &RStarTree<D, u64>,
     pool: &mut BufferPool<M>,
 ) -> Result<PagedTree<D>> {
-    let root = persist_node(tree, tree_root(tree), pool)?;
+    let root = persist_node(tree, tree.root, pool)?;
     Ok(PagedTree { root })
-}
-
-// Small internal accessors (same crate) to walk the arena.
-fn tree_root<const D: usize>(tree: &RStarTree<D, u64>) -> crate::rstar::NodeId {
-    tree.root
 }
 
 fn persist_node<const D: usize, M: DiskManager>(
@@ -63,12 +63,12 @@ fn persist_node<const D: usize, M: DiskManager>(
         }
     }
     let bytes = w.finish();
-    if bytes.len() > PAGE_SIZE {
+    if bytes.len() > PAGE_SIZE - PAGE_HEADER {
         return Err(StorageError::RecordTooLarge(bytes.len()));
     }
     let pid = pool.allocate()?;
     pool.with_page_mut(pid, |page| {
-        page[..bytes.len()].copy_from_slice(&bytes);
+        page[PAGE_HEADER..PAGE_HEADER + bytes.len()].copy_from_slice(&bytes);
     })?;
     Ok(pid)
 }
@@ -112,21 +112,22 @@ impl<const D: usize> PagedTree<D> {
         let mut results = Vec::new();
         let mut stack = vec![self.root];
         while let Some(pid) = stack.pop() {
-            let node_bytes = pool.with_page(pid, |page| page.to_vec())?;
-            let mut r = Reader::new(&node_bytes);
-            let kind = r.u8()?;
-            let count = r.u32()? as usize;
-            for _ in 0..count {
-                let rect: Rect<D> = read_rect(&mut r)?;
-                let payload = r.u64()?;
-                if rect.intersects(query) {
-                    if kind == KIND_LEAF {
-                        results.push(payload);
-                    } else {
-                        stack.push(PageId(payload));
+            pool.with_page(pid, |page| -> Result<()> {
+                let mut r = Reader::new(&page[PAGE_HEADER..]);
+                let kind = r.u8()?;
+                for _ in 0..r.u32()? {
+                    let rect: Rect<D> = read_rect(&mut r)?;
+                    let payload = r.u64()?;
+                    if rect.intersects(query) {
+                        if kind == KIND_LEAF {
+                            results.push(payload);
+                        } else {
+                            stack.push(PageId(payload));
+                        }
                     }
                 }
-            }
+                Ok(())
+            })??;
         }
         Ok((results, pool.stats().logical - before))
     }
@@ -195,5 +196,26 @@ mod tests {
         let stats = pool.stats();
         assert_eq!(stats.logical, logical);
         assert_eq!(stats.logical, stats.physical, "unit pool: every fetch hits disk");
+    }
+
+    #[test]
+    fn corrupted_node_page_fails_search() {
+        let mut tree: RStarTree<1, u64> = RStarTree::new(RStarParams::with_max(4));
+        for i in 0..20u64 {
+            tree.insert(Rect::new([i as f64], [i as f64 + 0.5]), i);
+        }
+        let mut pool = BufferPool::new(MemDisk::new(), 4);
+        let paged = persist(&tree, &mut pool).unwrap();
+        let mut disk = pool.into_disk().unwrap();
+        // Flip one bit of the root's first rectangle on disk.
+        let mut page = [0u8; PAGE_SIZE];
+        disk.read(paged.root(), &mut page).unwrap();
+        page[PAGE_HEADER + 5] ^= 0x10;
+        disk.write(paged.root(), &page).unwrap();
+        let mut pool = BufferPool::new(disk, 4);
+        match paged.search(&mut pool, &Rect::new([0.0], [100.0])) {
+            Err(StorageError::Corrupt { page, .. }) => assert_eq!(page, Some(paged.root())),
+            other => panic!("expected a checksum mismatch, got {:?}", other),
+        }
     }
 }

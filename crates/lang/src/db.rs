@@ -23,7 +23,7 @@ use cqa_storage::{BufferPool, FileDisk, HeapFile, PageId, StorageError};
 use std::fmt;
 use std::fs;
 use std::io::Write as _;
-use std::path::Path;
+use std::path::{Component, Path};
 
 /// Errors raised while saving or opening a database directory.
 #[derive(Debug)]
@@ -156,7 +156,19 @@ pub fn open_catalog(dir: impl AsRef<Path>) -> Result<Catalog, DbError> {
         let (name, file) = line
             .split_once('\t')
             .ok_or_else(|| DbError::BadManifest(format!("malformed line {:?}", line)))?;
+        // Only a plain file name inside `dir` that exists already: opening
+        // must neither reach outside the directory nor create a file.
+        let mut parts = Path::new(file).components();
+        if !matches!((parts.next(), parts.next()), (Some(Component::Normal(_)), None)) {
+            return Err(DbError::BadManifest(format!(
+                "relation file {:?} is not a file name in the database directory",
+                file
+            )));
+        }
         let path = dir.join(file);
+        if !fs::metadata(&path)?.is_file() {
+            return Err(DbError::BadManifest(format!("relation file {:?} is not a file", file)));
+        }
         let mut pool = BufferPool::new(FileDisk::open(&path)?, 16);
         let pages: Vec<PageId> = (0..pool.num_pages()).map(PageId).collect();
         let heap = HeapFile::from_pages(pages);
@@ -177,6 +189,7 @@ mod tests {
     use cqa_core::{AttrDef, HRelation, Schema};
     use cqa_num::Rat;
     use cqa_spatial::{Feature, Geometry, Point, SpatialRelation};
+    use std::io::Seek;
 
     fn tempdir(tag: &str) -> std::path::PathBuf {
         let d = std::env::temp_dir().join(format!("cqa_db_{}_{}", tag, std::process::id()));
@@ -291,5 +304,72 @@ mod tests {
         std::fs::write(corrupt.join("manifest.txt"), "R\tmissing_file.db\n").unwrap();
         assert!(open_catalog(&corrupt).is_err());
         std::fs::remove_dir_all(&corrupt).unwrap();
+    }
+
+    #[test]
+    fn manifest_files_outside_the_directory_or_missing_are_refused() {
+        let dir = tempdir("escape");
+        save_catalog(&sample_catalog(), &dir).unwrap();
+        // Targets in the existing parent directory, so a bug that created
+        // them could succeed.
+        let outside =
+            std::env::temp_dir().join(format!("cqa_db_outside_{}.db", std::process::id()));
+        let sibling = format!("cqa_db_sibling_{}.db", std::process::id());
+        let _ = std::fs::remove_file(&outside);
+        let cases = [
+            (format!("R\t{}\n", outside.display()), outside.clone()),
+            (format!("R\t../{}\n", sibling), std::env::temp_dir().join(&sibling)),
+            ("R\tmissing.db\n".to_string(), dir.join("missing.db")),
+        ];
+        for (line, path) in &cases {
+            std::fs::write(dir.join("manifest.txt"), line).unwrap();
+            match open_catalog(&dir) {
+                Err(DbError::BadManifest(_)) | Err(DbError::Io(_)) => {}
+                other => panic!("{:?}: expected a typed refusal, got {:?}", line, other.err()),
+            }
+            assert!(!path.exists(), "{:?}: opening created {}", line, path.display());
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Every single-bit flip of a saved relation file either reopens as
+    /// the saved relation or fails with a typed error — never as a
+    /// different relation.
+    #[test]
+    fn bit_flipped_relation_file_never_reopens_as_a_different_relation() {
+        let dir = tempdir("flips");
+        let mut land = HRelation::new(
+            Schema::new(vec![
+                AttrDef::str_rel("landId"),
+                AttrDef::rat_con("x"),
+                AttrDef::rat_con("y"),
+            ])
+            .unwrap(),
+        );
+        land.insert_with(|b| b.set("landId", "A").range("x", 0, 4).range("y", 0, 4)).unwrap();
+        land.insert_with(|b| b.set("landId", "B").range("x", 6, 10).range("y", 0, 4)).unwrap();
+        let mut cat = Catalog::new();
+        cat.register("Land", land);
+        save_catalog(&cat, &dir).unwrap();
+        let bytes = std::fs::read(dir.join("rel_0.db")).unwrap();
+        let mut file = fs::OpenOptions::new().write(true).open(dir.join("rel_0.db")).unwrap();
+        let mut put = |at: usize, byte: u8| {
+            file.seek(std::io::SeekFrom::Start(at as u64)).unwrap();
+            file.write_all(&[byte]).unwrap();
+        };
+        for bit in 0..bytes.len() * 8 {
+            let at = bit / 8;
+            put(at, bytes[at] ^ (1 << (bit % 8)));
+            let reopened = open_catalog(&dir);
+            put(at, bytes[at]);
+            match reopened {
+                Ok(back) => {
+                    assert_eq!(back.get("Land").unwrap(), cat.get("Land").unwrap(), "bit {}", bit)
+                }
+                Err(DbError::Storage(_)) | Err(DbError::Persist(_)) => {}
+                Err(other) => panic!("bit {}: unexpected error class {}", bit, other),
+            }
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

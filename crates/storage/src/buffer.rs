@@ -6,9 +6,14 @@
 //! manager counts one *physical* access. Running an experiment with a cold
 //! (or deliberately tiny) pool makes logical ≈ physical, which is the
 //! configuration the paper's experiments correspond to.
+//!
+//! Every page is sealed (see [`crate::page`]): a write-back stamps the
+//! page's CRC, and a physical read verifies it. A mismatch evicts the bytes
+//! and rereads once, so a read-side bit flip heals; a mismatch that
+//! persists fails with [`StorageError::Corrupt`].
 
 use crate::disk::DiskManager;
-use crate::page::{PageId, SlottedPage, PAGE_SIZE};
+use crate::page::{seal, verify_checksum, PageId, PAGE_SIZE};
 use crate::{Result, StorageError};
 use std::collections::HashMap;
 
@@ -59,39 +64,11 @@ fn backoff(attempt: u32) -> std::time::Duration {
     std::time::Duration::from_millis(1u64 << (attempt - 1).min(4))
 }
 
-/// Reads a page with bounded retry on transient I/O errors.
-fn read_with_retry<D: DiskManager>(
-    disk: &mut D,
-    stats: &mut AccessStats,
-    id: PageId,
-    buf: &mut [u8],
-) -> Result<()> {
+/// Runs one disk read or write, retrying transient I/O errors with backoff.
+fn with_retry(stats: &mut AccessStats, mut op: impl FnMut() -> Result<()>) -> Result<()> {
     let mut attempt = 1;
     loop {
-        match disk.read(id, buf) {
-            Err(StorageError::Io(_)) if attempt < IO_ATTEMPTS => {
-                stats.io_retries += 1;
-                if cqa_obs::metrics_enabled() {
-                    pool_metrics().io_retries.inc();
-                }
-                std::thread::sleep(backoff(attempt));
-                attempt += 1;
-            }
-            other => return other,
-        }
-    }
-}
-
-/// Writes a page with bounded retry on transient I/O errors.
-fn write_with_retry<D: DiskManager>(
-    disk: &mut D,
-    stats: &mut AccessStats,
-    id: PageId,
-    buf: &[u8],
-) -> Result<()> {
-    let mut attempt = 1;
-    loop {
-        match disk.write(id, buf) {
+        match op() {
             Err(StorageError::Io(_)) if attempt < IO_ATTEMPTS => {
                 stats.io_retries += 1;
                 if cqa_obs::metrics_enabled() {
@@ -112,6 +89,23 @@ struct Frame {
     last_used: u64,
 }
 
+/// Seals a dirty frame and writes it back with retry: the one write-back
+/// path, shared by [`BufferPool::flush`] and LRU eviction.
+fn write_back<D: DiskManager>(
+    disk: &mut D,
+    stats: &mut AccessStats,
+    frame: &mut Frame,
+) -> Result<()> {
+    seal(&mut frame.data[..]);
+    with_retry(stats, || disk.write(frame.id, &frame.data[..]))?;
+    frame.dirty = false;
+    stats.writebacks += 1;
+    if cqa_obs::metrics_enabled() {
+        pool_metrics().writebacks.inc();
+    }
+    Ok(())
+}
+
 /// A fixed-capacity page cache over a [`DiskManager`].
 pub struct BufferPool<D: DiskManager> {
     disk: D,
@@ -120,7 +114,6 @@ pub struct BufferPool<D: DiskManager> {
     capacity: usize,
     clock: u64,
     stats: AccessStats,
-    checksums: bool,
 }
 
 impl<D: DiskManager> BufferPool<D> {
@@ -134,22 +127,7 @@ impl<D: DiskManager> BufferPool<D> {
             capacity: capacity.max(1),
             clock: 0,
             stats: AccessStats::default(),
-            checksums: false,
         }
-    }
-
-    /// Enables per-page CRC maintenance: pages are sealed
-    /// ([`SlottedPage::seal`]) on writeback and verified on every physical
-    /// read; a mismatch is answered by one reread (graceful degradation
-    /// against read-side corruption) before failing with
-    /// [`StorageError::Corrupt`].
-    ///
-    /// Only valid for pools holding slotted pages — raw-byte page users
-    /// (e.g. the paged R\*-tree) own bytes 4..8 themselves and must leave
-    /// this off.
-    pub fn with_checksums(mut self) -> BufferPool<D> {
-        self.checksums = true;
-        self
     }
 
     /// The underlying disk manager (e.g. to inspect fault-injection
@@ -193,18 +171,8 @@ impl<D: DiskManager> BufferPool<D> {
 
     /// Writes all dirty pages back to the disk manager.
     pub fn flush(&mut self) -> Result<()> {
-        for frame in &mut self.frames {
-            if frame.dirty {
-                if self.checksums {
-                    SlottedPage::seal(&mut frame.data[..]);
-                }
-                write_with_retry(&mut self.disk, &mut self.stats, frame.id, &frame.data[..])?;
-                frame.dirty = false;
-                self.stats.writebacks += 1;
-                if cqa_obs::metrics_enabled() {
-                    pool_metrics().writebacks.inc();
-                }
-            }
+        for frame in self.frames.iter_mut().filter(|f| f.dirty) {
+            write_back(&mut self.disk, &mut self.stats, frame)?;
         }
         Ok(())
     }
@@ -217,18 +185,17 @@ impl<D: DiskManager> BufferPool<D> {
         Ok(())
     }
 
-    /// Reads `id` from disk into `data`, verifying the checksum when
-    /// enabled. A mismatch evicts the bytes and rereads once — a read-side
-    /// bit flip heals; persistent corruption fails with a typed error.
+    /// Reads `id` from disk into `data` and verifies its seal, rereading
+    /// once on a mismatch.
     fn read_verified(&mut self, id: PageId, data: &mut [u8; PAGE_SIZE]) -> Result<()> {
-        read_with_retry(&mut self.disk, &mut self.stats, id, &mut data[..])?;
-        if self.checksums && !SlottedPage::verify_checksum(&data[..]) {
+        with_retry(&mut self.stats, || self.disk.read(id, &mut data[..]))?;
+        if !verify_checksum(&data[..]) {
             self.stats.corrupt_rereads += 1;
             if cqa_obs::metrics_enabled() {
                 pool_metrics().corrupt_rereads.inc();
             }
-            read_with_retry(&mut self.disk, &mut self.stats, id, &mut data[..])?;
-            if !SlottedPage::verify_checksum(&data[..]) {
+            with_retry(&mut self.stats, || self.disk.read(id, &mut data[..]))?;
+            if !verify_checksum(&data[..]) {
                 return Err(StorageError::corrupt_page(id, "page checksum mismatch"));
             }
         }
@@ -281,15 +248,7 @@ impl<D: DiskManager> BufferPool<D> {
                 .map(|(i, _)| i)
                 .unwrap_or(0);
             if self.frames[victim].dirty {
-                if self.checksums {
-                    SlottedPage::seal(&mut self.frames[victim].data[..]);
-                }
-                let (old_id, stats) = (self.frames[victim].id, &mut self.stats);
-                write_with_retry(&mut self.disk, stats, old_id, &self.frames[victim].data[..])?;
-                self.stats.writebacks += 1;
-                if metrics_on {
-                    pool_metrics().writebacks.inc();
-                }
+                write_back(&mut self.disk, &mut self.stats, &mut self.frames[victim])?;
             }
             let old = &mut self.frames[victim];
             self.map.remove(&old.id);

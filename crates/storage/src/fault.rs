@@ -14,7 +14,7 @@
 //!   checksum's job on a later read.
 //! * **Bit flips** — a read returns the page with one random bit flipped
 //!   (the bytes on the inner disk stay intact), modeling bus/DRAM
-//!   corruption. A checksummed pool heals this by rereading.
+//!   corruption. The buffer pool's seal check heals this by rereading.
 //!
 //! The decorator never panics and never misreports: every injected fault
 //! either surfaces as a typed error immediately (I/O error) or is left for
@@ -241,7 +241,7 @@ mod tests {
     #[test]
     fn torn_write_detected_by_checksummed_pool() {
         let cfg = FaultConfig::only(5, FaultKind::TornWrite, 1.0);
-        let mut pool = BufferPool::new(FaultyDisk::new(MemDisk::new(), cfg), 1).with_checksums();
+        let mut pool = BufferPool::new(FaultyDisk::new(MemDisk::new(), cfg), 1);
         let a = pool.allocate().unwrap();
         let b = pool.allocate().unwrap();
         // The page differs from its on-disk state (zeros) in the very last
@@ -265,7 +265,7 @@ mod tests {
 
     #[test]
     fn bit_flips_heal_or_fail_typed_never_silently_corrupt() {
-        // Read-side flips poison only the returned bytes; a checksummed
+        // Read-side flips poison only the returned bytes; the buffer
         // pool must either heal them by rereading or fail with a typed
         // error — never hand back a corrupt record. Sweep seeds so the
         // test does not depend on the draw layout of one schedule.
@@ -273,8 +273,7 @@ mod tests {
         for seed in 0..40u64 {
             let mut cfg = FaultConfig::none(seed);
             cfg.bit_flip_rate = 0.5;
-            let mut pool =
-                BufferPool::new(FaultyDisk::new(MemDisk::new(), cfg), 1).with_checksums();
+            let mut pool = BufferPool::new(FaultyDisk::new(MemDisk::new(), cfg), 1);
             let a = pool.allocate().unwrap();
             let b = pool.allocate().unwrap();
             pool.with_page_mut(a, |p| {

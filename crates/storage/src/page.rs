@@ -1,32 +1,40 @@
-//! Fixed-size pages with a slotted record layout.
+//! Fixed-size pages: the sealed page header, and a slotted record layout.
+//!
+//! Every page starts with an 8-byte header whose bytes 4..8 hold the page
+//! checksum (u32 LE): CRC-32 (IEEE) of the page with these four bytes
+//! treated as zero. The stored value 0 means "unsealed" (a computed CRC of
+//! 0 is stored as 0xFFFF_FFFF to stay distinct), so an all-zeros page, a
+//! freshly `init`ed one, or a slotted page written before pages were sealed
+//! verifies trivially. The [`BufferPool`](crate::BufferPool) seals every page it
+//! writes back and verifies every page it reads. Raw-byte page users (the
+//! paged R\*-tree) keep their bytes after [`PAGE_HEADER`].
 //!
 //! Layout of a slotted page (offsets in bytes):
 //!
 //! ```text
 //! 0..2    number of slots (u16)
 //! 2..4    offset of the start of the record area (u16, grows downward)
-//! 4..8    page checksum (u32 LE): CRC-32 (IEEE) of the page with these
-//!         four bytes treated as zero; the stored value 0 means "unsealed"
-//!         (a computed CRC of 0 is stored as 0xFFFF_FFFF to stay distinct)
+//! 4..8    page checksum
 //! 8..     slot directory: per slot, record offset (u16) and length (u16);
 //!         a slot with offset 0 is a tombstone (page offsets < 8 are
 //!         impossible for live records)
 //! ...     free space
 //! ...     records, packed against the end of the page
 //! ```
-//!
-//! The checksum is maintained by checksummed [`BufferPool`](crate::BufferPool)s
-//! on writeback; an all-zeros or freshly `init`ed page verifies trivially.
 
 use crate::{Result, StorageError};
 
 /// Size of every page in bytes. Chosen to match a common filesystem block.
 pub const PAGE_SIZE: usize = 4096;
 
-const HDR: usize = 8;
+/// Bytes at the start of every page reserved for its header (the slotted
+/// layout's counters and the checksum).
+pub const PAGE_HEADER: usize = 8;
+
 const SLOT: usize = 4;
-const CRC_START: usize = 4;
-const CRC_END: usize = 8;
+
+/// The checksum field within the page header.
+const CRC: std::ops::Range<usize> = 4..8;
 
 /// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) lookup table.
 const CRC_TABLE: [u32; 256] = {
@@ -45,17 +53,12 @@ const CRC_TABLE: [u32; 256] = {
     table
 };
 
-/// CRC-32 of `data` with the checksum field (bytes 4..8) treated as zero.
+/// CRC-32 of `data` with the checksum field treated as zero.
 fn page_crc(data: &[u8]) -> u32 {
     let mut crc = 0xFFFF_FFFFu32;
-    let mut step = |byte: u8| {
-        crc = (crc >> 8) ^ CRC_TABLE[((crc ^ byte as u32) & 0xFF) as usize];
-    };
-    for (i, &b) in data.iter().enumerate() {
-        if (CRC_START..CRC_END).contains(&i) {
-            step(0);
-        } else {
-            step(b);
+    for part in [&data[..CRC.start], &[0u8; 4][..], &data[CRC.end..]] {
+        for &byte in part {
+            crc = (crc >> 8) ^ CRC_TABLE[((crc ^ byte as u32) & 0xFF) as usize];
         }
     }
     !crc
@@ -69,6 +72,21 @@ fn encode_crc(crc: u32) -> u32 {
     } else {
         crc
     }
+}
+
+/// Stamps the page's checksum field so [`verify_checksum`] can detect torn
+/// writes and bit flips.
+pub(crate) fn seal(data: &mut [u8]) {
+    let crc = encode_crc(page_crc(data));
+    data[CRC].copy_from_slice(&crc.to_le_bytes());
+}
+
+/// Whether the page's stored checksum matches its contents. An unsealed
+/// page (stored checksum 0) verifies trivially.
+pub(crate) fn verify_checksum(data: &[u8]) -> bool {
+    let field = &data[CRC];
+    let stored = u32::from_le_bytes([field[0], field[1], field[2], field[3]]);
+    stored == 0 || stored == encode_crc(page_crc(data))
 }
 
 /// Identifier of a page within a disk.
@@ -94,29 +112,7 @@ impl<'a> SlottedPage<'a> {
         debug_assert_eq!(data.len(), PAGE_SIZE);
         data[0..2].copy_from_slice(&0u16.to_le_bytes());
         data[2..4].copy_from_slice(&(PAGE_SIZE as u16).to_le_bytes());
-        data[CRC_START..CRC_END].copy_from_slice(&0u32.to_le_bytes());
-    }
-
-    /// Stamps the page's checksum field so [`Self::verify_checksum`] can
-    /// detect torn writes and bit flips. Called by checksummed buffer
-    /// pools on writeback; only meaningful for slotted pages (raw-byte
-    /// page users own bytes 4..8 themselves).
-    pub fn seal(data: &mut [u8]) {
-        let crc = encode_crc(page_crc(data));
-        data[CRC_START..CRC_END].copy_from_slice(&crc.to_le_bytes());
-    }
-
-    /// Whether the page's stored checksum matches its contents. An
-    /// unsealed page (stored checksum 0, e.g. all-zeros or freshly
-    /// `init`ed) verifies trivially.
-    pub fn verify_checksum(data: &[u8]) -> bool {
-        let stored = u32::from_le_bytes([
-            data[CRC_START],
-            data[CRC_START + 1],
-            data[CRC_START + 2],
-            data[CRC_START + 3],
-        ]);
-        stored == 0 || stored == encode_crc(page_crc(data))
+        data[CRC].copy_from_slice(&0u32.to_le_bytes());
     }
 
     fn read_u16(&self, at: usize) -> u16 {
@@ -127,9 +123,10 @@ impl<'a> SlottedPage<'a> {
         self.data[at..at + 2].copy_from_slice(&v.to_le_bytes());
     }
 
-    /// Number of slots (live and tombstoned).
+    /// Number of slots (live and tombstoned). A corrupt count is capped at
+    /// what the page can hold, so the directory is never read past its end.
     pub fn slot_count(&self) -> usize {
-        self.read_u16(0) as usize
+        (self.read_u16(0) as usize).min((PAGE_SIZE - PAGE_HEADER) / SLOT)
     }
 
     fn record_start(&self) -> usize {
@@ -143,7 +140,7 @@ impl<'a> SlottedPage<'a> {
 
     /// Free bytes available for one more record (including its slot entry).
     pub fn free_space(&self) -> usize {
-        let dir_end = HDR + self.slot_count() * SLOT;
+        let dir_end = PAGE_HEADER + self.slot_count() * SLOT;
         self.record_start().saturating_sub(dir_end)
     }
 
@@ -154,7 +151,7 @@ impl<'a> SlottedPage<'a> {
 
     /// The largest record insertable into an empty page.
     pub const fn max_record() -> usize {
-        PAGE_SIZE - HDR - SLOT
+        PAGE_SIZE - PAGE_HEADER - SLOT
     }
 
     /// Inserts a record, returning its slot number.
@@ -169,7 +166,7 @@ impl<'a> SlottedPage<'a> {
         let new_start = self.record_start() - record.len();
         self.data[new_start..new_start + record.len()].copy_from_slice(record);
         self.write_u16(2, new_start as u16);
-        let dir = HDR + slot * SLOT;
+        let dir = PAGE_HEADER + slot * SLOT;
         self.write_u16(dir, new_start as u16);
         self.write_u16(dir + 2, record.len() as u16);
         self.write_u16(0, (slot + 1) as u16);
@@ -182,7 +179,7 @@ impl<'a> SlottedPage<'a> {
         if slot as usize >= self.slot_count() {
             return None;
         }
-        let dir = HDR + slot as usize * SLOT;
+        let dir = PAGE_HEADER + slot as usize * SLOT;
         let off = self.read_u16(dir) as usize;
         if off == 0 {
             return None;
@@ -190,8 +187,9 @@ impl<'a> SlottedPage<'a> {
         let len = self.read_u16(dir + 2) as usize;
         // A corrupt directory entry must not panic: treat out-of-range
         // records (overrunning the page or reaching into the header) as
-        // absent; checksummed pools catch the corruption before this.
-        if off < HDR {
+        // absent; the buffer pool's seal check catches the corruption
+        // before this.
+        if off < PAGE_HEADER {
             return None;
         }
         self.data.get(off..off + len)
@@ -203,7 +201,7 @@ impl<'a> SlottedPage<'a> {
         if slot as usize >= self.slot_count() {
             return false;
         }
-        let dir = HDR + slot as usize * SLOT;
+        let dir = PAGE_HEADER + slot as usize * SLOT;
         if self.read_u16(dir) == 0 {
             return false;
         }
@@ -262,7 +260,7 @@ mod tests {
             n += 1;
         }
         // 4096 - 8 header = 4088; each record costs 104 → 39 records.
-        assert_eq!(n, (PAGE_SIZE - HDR) / (rec.len() + SLOT));
+        assert_eq!(n, (PAGE_SIZE - PAGE_HEADER) / (rec.len() + SLOT));
         assert!(p.insert(&rec).is_err());
         // All still readable.
         assert_eq!(p.iter().count(), n);
@@ -302,37 +300,47 @@ mod tests {
         let mut data = empty_page();
         SlottedPage::new(&mut data).insert(b"payload").unwrap();
         // Unsealed pages verify trivially.
-        assert!(SlottedPage::verify_checksum(&data));
-        SlottedPage::seal(&mut data);
-        assert!(SlottedPage::verify_checksum(&data));
+        assert!(verify_checksum(&data));
+        seal(&mut data);
+        assert!(verify_checksum(&data));
         // Any single-bit flip outside the checksum field is detected.
         data[PAGE_SIZE - 1] ^= 0x40;
-        assert!(!SlottedPage::verify_checksum(&data));
+        assert!(!verify_checksum(&data));
         data[PAGE_SIZE - 1] ^= 0x40;
-        assert!(SlottedPage::verify_checksum(&data));
+        assert!(verify_checksum(&data));
         // A flipped checksum byte is detected too.
         data[5] ^= 0x01;
-        assert!(!SlottedPage::verify_checksum(&data));
+        assert!(!verify_checksum(&data));
     }
 
     #[test]
     fn checksum_detects_torn_tail() {
         let mut before = empty_page();
         SlottedPage::new(&mut before).insert(&[1u8; 2000]).unwrap();
-        SlottedPage::seal(&mut before);
+        seal(&mut before);
         let mut after = before.clone();
         SlottedPage::new(&mut after).insert(&[2u8; 1500]).unwrap();
-        SlottedPage::seal(&mut after);
+        seal(&mut after);
         // Torn write: new header/prefix, stale tail.
         let mut torn = after.clone();
         torn[1024..].copy_from_slice(&before[1024..]);
-        assert!(!SlottedPage::verify_checksum(&torn));
+        assert!(!verify_checksum(&torn));
+    }
+
+    #[test]
+    fn checksum_is_ieee_crc32_of_the_page_with_a_zeroed_field() {
+        // Pins the on-disk format: zlib.crc32 of the same bytes with
+        // 4..8 zeroed gives 0x484cce74, whatever the field holds.
+        let mut data: Vec<u8> = (0..PAGE_SIZE).map(|i| (i % 251) as u8).collect();
+        assert_eq!(page_crc(&data), 0x484c_ce74);
+        seal(&mut data);
+        assert_eq!(&data[CRC], &0x484c_ce74u32.to_le_bytes());
     }
 
     #[test]
     fn all_zero_page_verifies() {
         let data = vec![0u8; PAGE_SIZE];
-        assert!(SlottedPage::verify_checksum(&data));
+        assert!(verify_checksum(&data));
     }
 
     #[test]
@@ -341,7 +349,7 @@ mod tests {
         let mut p = SlottedPage::new(&mut data);
         let s = p.insert(b"victim").unwrap();
         // Point the slot past the end of the page.
-        let dir = HDR + s as usize * SLOT;
+        let dir = PAGE_HEADER + s as usize * SLOT;
         data[dir..dir + 2].copy_from_slice(&((PAGE_SIZE - 2) as u16).to_le_bytes());
         data[dir + 2..dir + 4].copy_from_slice(&100u16.to_le_bytes());
         let p = SlottedPage::new(&mut data);
@@ -350,9 +358,14 @@ mod tests {
         let mut data = empty_page();
         let mut p = SlottedPage::new(&mut data);
         let s = p.insert(b"victim").unwrap();
-        let dir = HDR + s as usize * SLOT;
+        let dir = PAGE_HEADER + s as usize * SLOT;
         data[dir..dir + 2].copy_from_slice(&2u16.to_le_bytes());
         let p = SlottedPage::new(&mut data);
         assert_eq!(p.get(s), None, "header-pointing record must not panic");
+        // A slot count larger than the page can hold.
+        data[0..2].copy_from_slice(&u16::MAX.to_le_bytes());
+        let p = SlottedPage::new(&mut data);
+        assert_eq!(p.get(u16::MAX - 1), None, "a slot past the page must not panic");
+        assert!(p.iter().count() <= (PAGE_SIZE - PAGE_HEADER) / SLOT);
     }
 }

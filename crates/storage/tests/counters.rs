@@ -63,7 +63,7 @@ fn corrupt_rereads_heal_bit_flips_and_count() {
     // rereads once, which heals a transient flip.
     let disk = FaultyDisk::new(MemDisk::new(), FaultConfig::only(11, FaultKind::BitFlip, 0.3));
     let before = cqa_obs::snapshot();
-    let mut pool = BufferPool::new(disk, 1).with_checksums();
+    let mut pool = BufferPool::new(disk, 1);
     let mut pages = Vec::new();
     for _ in 0..12 {
         pages.push(pool.allocate().unwrap());
