@@ -73,8 +73,10 @@ impl HRelation {
     /// Removes structurally duplicate tuples (canonical atom storage makes
     /// structural equality a sound approximation of semantic equality).
     pub fn dedup(&mut self) {
-        let mut seen: BTreeSet<Tuple> = BTreeSet::new();
-        self.tuples.retain(|t| seen.insert(t.clone()));
+        let mut seen: BTreeSet<&Tuple> = BTreeSet::new();
+        let first: Vec<bool> = self.tuples.iter().map(|t| seen.insert(t)).collect();
+        let mut first = first.into_iter();
+        self.tuples.retain(|_| first.next().expect("one flag per tuple"));
     }
 
     /// Drops tuples whose constraint part is unsatisfiable.

@@ -22,10 +22,10 @@ use crate::rstar::{Node, NodeId, NodeKind, RStarParams, RStarTree};
 /// Centers are ordered by `total_cmp`, so a `[-inf, +inf]` side (whose
 /// center is NaN) sorts deterministically.
 ///
-/// The result satisfies every R\*-tree invariant, and later inserts and
-/// removes behave as usual. The same input always packs into the same
+/// The result satisfies every R\*-tree invariant, and later inserts
+/// behave as usual. The same input always packs into the same
 /// tree.
-pub fn str_load<const D: usize, T: Clone + PartialEq>(
+pub fn str_load<const D: usize, T: Clone>(
     params: RStarParams,
     entries: Vec<(Rect<D>, T)>,
 ) -> RStarTree<D, T> {

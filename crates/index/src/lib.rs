@@ -10,21 +10,21 @@
 //! * [`Rect`] — axis-aligned boxes in `D` dimensions (`D = 1` gives the
 //!   intervals a constraint attribute's projection denotes);
 //! * [`RStarTree`] — insertion with forced reinsertion and the R\* split,
-//!   deletion with tree condensation, and access-counted range search;
+//!   and access-counted range search;
 //! * [`bulk`] — bottom-up sort-tile-recursive (STR) packing, which the
 //!   catalog's relation indexes are built by;
 //! * [`strategy`] — [`JointIndex`](strategy::JointIndex) vs
 //!   [`SeparateIndices`](strategy::SeparateIndices), the two §5.4
 //!   configurations;
 //! * [`advisor`] — a heuristic for the paper's open problem: choosing which
-//!   attribute subsets to index together, given a workload;
-//! * [`paged`] — persisting a tree one node per page and searching through
-//!   a [`cqa_storage::BufferPool`], so "disk access" can also be measured
-//!   physically.
+//!   attribute subsets to index together, given a workload.
+//!
+//! No entry is ever removed: a relation changes only by replacement,
+//! which drops its indexes, so a tree is built by packing or insertion
+//! and then only searched.
 
 pub mod advisor;
 pub mod bulk;
-pub mod paged;
 pub mod rect;
 pub mod rstar;
 pub mod strategy;

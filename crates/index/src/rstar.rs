@@ -89,27 +89,25 @@ pub(crate) struct Node<const D: usize, T> {
 #[derive(Debug, Clone)]
 pub struct RStarTree<const D: usize, T> {
     params: RStarParams,
-    pub(crate) nodes: Vec<Node<D, T>>,
-    free: Vec<NodeId>,
-    pub(crate) root: NodeId,
+    nodes: Vec<Node<D, T>>,
+    root: NodeId,
     height: usize, // leaf = level 0; root is at level height - 1
     len: usize,
 }
 
-impl<const D: usize, T: Clone + PartialEq> Default for RStarTree<D, T> {
+impl<const D: usize, T: Clone> Default for RStarTree<D, T> {
     fn default() -> Self {
         RStarTree::new(RStarParams::fitting_page(D))
     }
 }
 
-impl<const D: usize, T: Clone + PartialEq> RStarTree<D, T> {
+impl<const D: usize, T: Clone> RStarTree<D, T> {
     /// An empty tree with the given parameters.
     pub fn new(params: RStarParams) -> RStarTree<D, T> {
         let root = Node { rect: Rect::empty(), kind: NodeKind::Leaf(Vec::new()) };
         RStarTree {
             params,
             nodes: vec![root],
-            free: Vec::new(),
             root: NodeId(0),
             height: 1,
             len: 0,
@@ -117,7 +115,7 @@ impl<const D: usize, T: Clone + PartialEq> RStarTree<D, T> {
     }
 
     /// A tree over a prebuilt arena (the bulk loader's output): `root`
-    /// heads `height` levels that hold `len` entries, and no slot is free.
+    /// heads `height` levels that hold `len` entries.
     pub(crate) fn from_arena(
         params: RStarParams,
         nodes: Vec<Node<D, T>>,
@@ -125,7 +123,7 @@ impl<const D: usize, T: Clone + PartialEq> RStarTree<D, T> {
         height: usize,
         len: usize,
     ) -> RStarTree<D, T> {
-        RStarTree { params, nodes, free: Vec::new(), root, height, len }
+        RStarTree { params, nodes, root, height, len }
     }
 
     /// Number of stored entries.
@@ -153,9 +151,9 @@ impl<const D: usize, T: Clone + PartialEq> RStarTree<D, T> {
         self.node(self.root).rect
     }
 
-    /// Number of live nodes (≈ pages the tree would occupy).
+    /// Number of nodes (≈ pages the tree would occupy).
     pub fn node_count(&self) -> usize {
-        self.nodes.len() - self.free.len()
+        self.nodes.len()
     }
 
     /// Structural (node-level) equality: same height, same tree shape,
@@ -192,7 +190,7 @@ impl<const D: usize, T: Clone + PartialEq> RStarTree<D, T> {
             && (self.is_empty() || eq_node(self, self.root, other, other.root))
     }
 
-    pub(crate) fn node(&self, id: NodeId) -> &Node<D, T> {
+    fn node(&self, id: NodeId) -> &Node<D, T> {
         &self.nodes[id.0 as usize]
     }
 
@@ -201,16 +199,8 @@ impl<const D: usize, T: Clone + PartialEq> RStarTree<D, T> {
     }
 
     fn alloc(&mut self, node: Node<D, T>) -> NodeId {
-        match self.free.pop() {
-            Some(id) => {
-                self.nodes[id.0 as usize] = node;
-                id
-            }
-            None => {
-                self.nodes.push(node);
-                NodeId(self.nodes.len() as u32 - 1)
-            }
-        }
+        self.nodes.push(node);
+        NodeId(self.nodes.len() as u32 - 1)
     }
 
     // ------------------------------------------------------------------
@@ -285,20 +275,6 @@ impl<const D: usize, T: Clone + PartialEq> RStarTree<D, T> {
         match &mut self.node_mut(leaf).kind {
             NodeKind::Leaf(entries) => entries.push((rect, item)),
             NodeKind::Internal(_) => unreachable!("choose_path(0) returns a leaf"),
-        }
-        self.refresh_rects(&path);
-        self.handle_overflow_chain(path, reinserted);
-    }
-
-    /// Inserts a subtree (used when splits propagate and by reinsertion of
-    /// internal entries during condensation).
-    fn insert_subtree(&mut self, child: NodeId, level: usize, reinserted: &mut Vec<bool>) {
-        let rect = self.node(child).rect;
-        let path = self.choose_path(&rect, level + 1);
-        let target = *path.last().unwrap();
-        match &mut self.node_mut(target).kind {
-            NodeKind::Internal(children) => children.push(child),
-            NodeKind::Leaf(_) => unreachable!("subtrees are inserted above leaf level"),
         }
         self.refresh_rects(&path);
         self.handle_overflow_chain(path, reinserted);
@@ -506,137 +482,6 @@ impl<const D: usize, T: Clone + PartialEq> RStarTree<D, T> {
             self.height += 1;
             path.push(new_root);
         }
-    }
-
-    // ------------------------------------------------------------------
-    // Deletion
-    // ------------------------------------------------------------------
-
-    /// Removes one entry equal to `(rect, item)`. Returns whether an entry
-    /// was removed.
-    pub fn remove(&mut self, rect: &Rect<D>, item: &T) -> bool {
-        let Some(path) = self.find_leaf(self.root, rect, item, vec![self.root]) else {
-            return false;
-        };
-        let leaf = *path.last().unwrap();
-        match &mut self.node_mut(leaf).kind {
-            NodeKind::Leaf(entries) => {
-                let idx = entries.iter().position(|(r, t)| r == rect && t == item).unwrap();
-                entries.remove(idx);
-            }
-            NodeKind::Internal(_) => unreachable!(),
-        }
-        self.len -= 1;
-        self.refresh_rects(&path);
-        self.condense(path);
-        true
-    }
-
-    fn find_leaf(
-        &self,
-        id: NodeId,
-        rect: &Rect<D>,
-        item: &T,
-        path: Vec<NodeId>,
-    ) -> Option<Vec<NodeId>> {
-        match &self.node(id).kind {
-            NodeKind::Leaf(entries) => entries
-                .iter()
-                .any(|(r, t)| r == rect && t == item)
-                .then_some(path),
-            NodeKind::Internal(children) => {
-                for &c in children {
-                    if self.node(c).rect.contains_rect(rect) || self.node(c).rect.intersects(rect)
-                    {
-                        let mut p = path.clone();
-                        p.push(c);
-                        if let Some(found) = self.find_leaf(c, rect, item, p) {
-                            return Some(found);
-                        }
-                    }
-                }
-                None
-            }
-        }
-    }
-
-    /// CondenseTree: dissolve underfull nodes bottom-up, then reinsert
-    /// their entries.
-    fn condense(&mut self, mut path: Vec<NodeId>) {
-        let mut orphan_leaf_entries: Vec<(Rect<D>, T)> = Vec::new();
-        let mut orphan_subtrees: Vec<(NodeId, usize)> = Vec::new(); // (node, level)
-
-        while path.len() > 1 {
-            let node = path.pop().unwrap();
-            let parent = *path.last().unwrap();
-            let level = self.height - (path.len() + 1);
-            if self.entry_count(node) < self.params.min_entries {
-                // Unhook from parent and queue contents for reinsertion.
-                match &mut self.node_mut(parent).kind {
-                    NodeKind::Internal(children) => {
-                        children.retain(|&c| c != node);
-                    }
-                    NodeKind::Leaf(_) => unreachable!(),
-                }
-                match std::mem::replace(
-                    &mut self.node_mut(node).kind,
-                    NodeKind::Leaf(Vec::new()),
-                ) {
-                    NodeKind::Leaf(entries) => orphan_leaf_entries.extend(entries),
-                    NodeKind::Internal(children) => {
-                        orphan_subtrees.extend(children.into_iter().map(|c| (c, level - 1)));
-                    }
-                }
-                self.free.push(node);
-            }
-            self.refresh_rects(&path);
-        }
-
-        // Shrink the root if it became a trivial chain.
-        loop {
-            let root = self.root;
-            let new_root = match &self.node(root).kind {
-                NodeKind::Internal(children) if children.len() == 1 => children[0],
-                NodeKind::Internal(children) if children.is_empty() => {
-                    // Everything was dissolved: reset to an empty leaf.
-                    self.node_mut(root).kind = NodeKind::Leaf(Vec::new());
-                    self.node_mut(root).rect = Rect::empty();
-                    self.height = 1;
-                    break;
-                }
-                _ => break,
-            };
-            self.free.push(root);
-            self.root = new_root;
-            self.height -= 1;
-        }
-
-        let mut reinserted = vec![false; self.height + 1];
-        for (subtree, level) in orphan_subtrees {
-            if level + 1 >= self.height {
-                // The tree shrank below the subtree's level; dissolve it.
-                let entries = self.collect_leaf_entries(subtree);
-                orphan_leaf_entries.extend(entries);
-            } else {
-                self.insert_subtree(subtree, level, &mut reinserted);
-            }
-        }
-        for (r, t) in orphan_leaf_entries {
-            self.insert_leaf_entry(r, t, &mut reinserted);
-        }
-    }
-
-    fn collect_leaf_entries(&mut self, id: NodeId) -> Vec<(Rect<D>, T)> {
-        let mut out = Vec::new();
-        let mut stack = vec![id];
-        while let Some(n) = stack.pop() {
-            match std::mem::replace(&mut self.node_mut(n).kind, NodeKind::Leaf(Vec::new())) {
-                NodeKind::Leaf(entries) => out.extend(entries),
-                NodeKind::Internal(children) => stack.extend(children),
-            }
-            self.free.push(n);
-        }
-        out
     }
 
     // ------------------------------------------------------------------
@@ -874,37 +719,6 @@ pub(crate) mod tests {
             t.insert(r, 7);
         }
         assert_eq!(t.search(&r).0.len(), 10);
-        t.check_invariants();
-    }
-
-    #[test]
-    fn remove_entries() {
-        let mut t = small_tree();
-        let mut rects = Vec::new();
-        for i in 0..50usize {
-            let r = unit_rect((i % 10) as f64 * 2.0, (i / 10) as f64 * 2.0);
-            t.insert(r, i);
-            rects.push(r);
-        }
-        // Remove a missing entry.
-        assert!(!t.remove(&unit_rect(999.0, 999.0), &0));
-        assert!(!t.remove(&rects[0], &999));
-        // Remove every other entry.
-        for i in (0..50).step_by(2) {
-            assert!(t.remove(&rects[i], &i), "remove {}", i);
-            t.check_invariants();
-        }
-        assert_eq!(t.len(), 25);
-        for (i, r) in rects.iter().enumerate() {
-            let found = t.search(r).0.contains(&i);
-            assert_eq!(found, i % 2 == 1, "entry {}", i);
-        }
-        // Remove everything.
-        for i in (1..50).step_by(2) {
-            assert!(t.remove(&rects[i], &i));
-        }
-        assert!(t.is_empty());
-        assert_eq!(t.height(), 1);
         t.check_invariants();
     }
 

@@ -1,6 +1,6 @@
 //! Property-based tests for the R\*-tree: random interleavings of inserts
-//! and removes, checked against a linear-scan oracle, with structural
-//! invariants verified after every mutation; and STR packing
+//! and queries, checked against a linear-scan oracle, with structural
+//! invariants verified after every operation; and STR packing
 //! ([`cqa_index::bulk::str_load`]) checked the same way, in 1-D and 2-D.
 
 use cqa_index::bulk::str_load;
@@ -10,8 +10,6 @@ use proptest::prelude::*;
 #[derive(Debug, Clone)]
 enum Op {
     Insert { x: i16, y: i16, w: u8, h: u8 },
-    /// Remove the i-th live entry (mod current size).
-    Remove(u16),
     Query { x: i16, y: i16, w: u8, h: u8 },
 }
 
@@ -19,7 +17,6 @@ fn arb_op() -> impl Strategy<Value = Op> {
     prop_oneof![
         3 => (any::<i16>(), any::<i16>(), any::<u8>(), any::<u8>())
             .prop_map(|(x, y, w, h)| Op::Insert { x, y, w, h }),
-        1 => any::<u16>().prop_map(Op::Remove),
         2 => (any::<i16>(), any::<i16>(), any::<u8>(), any::<u8>())
             .prop_map(|(x, y, w, h)| Op::Query { x, y, w, h }),
     ]
@@ -46,14 +43,6 @@ proptest! {
                     oracle.push((r, next_id));
                     next_id += 1;
                 }
-                Op::Remove(i) => {
-                    if oracle.is_empty() {
-                        continue;
-                    }
-                    let idx = i as usize % oracle.len();
-                    let (r, id) = oracle.swap_remove(idx);
-                    prop_assert!(tree.remove(&r, &id), "remove of live entry must succeed");
-                }
                 Op::Query { x, y, w, h } => {
                     let q = rect(x, y, w, h);
                     let (mut got, _) = tree.search(&q);
@@ -70,13 +59,6 @@ proptest! {
             tree.check_invariants();
             prop_assert_eq!(tree.len(), oracle.len());
         }
-        // Drain everything: the tree must return to the empty state.
-        for (r, id) in oracle {
-            prop_assert!(tree.remove(&r, &id));
-            tree.check_invariants();
-        }
-        prop_assert!(tree.is_empty());
-        prop_assert_eq!(tree.height(), 1);
     }
 }
 
@@ -133,7 +115,7 @@ fn searched<const D: usize>(tree: &RStarTree<D, u64>, q: &Rect<D>) -> Vec<u64> {
 
 /// Packs `entries` and checks the tree: invariants, every window in
 /// `windows` against a linear scan, a repeat pack builds the same tree,
-/// and the invariants survive 20 inserts and 20 removes afterwards.
+/// and the invariants survive 20 inserts afterwards.
 fn check_pack<const D: usize>(max: usize, entries: Vec<(Rect<D>, u64)>, windows: &[Rect<D>]) {
     let params = RStarParams::with_max(max);
     let mut tree = str_load(params, entries.clone());
@@ -158,14 +140,9 @@ fn check_pack<const D: usize>(max: usize, entries: Vec<(Rect<D>, u64)>, windows:
         live.push((r, id));
         tree.check_invariants();
     }
-    for step in 0..20usize {
-        let (r, id) = live.swap_remove(step * 7919 % live.len());
-        assert!(tree.remove(&r, &id), "remove of a live entry must succeed");
-        tree.check_invariants();
-    }
     assert_eq!(tree.len(), live.len());
     for q in windows {
-        assert_eq!(searched(&tree, q), scan(&live, q), "window {:?} after updates", q);
+        assert_eq!(searched(&tree, q), scan(&live, q), "window {:?} after inserts", q);
     }
 }
 

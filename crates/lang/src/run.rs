@@ -303,6 +303,22 @@ spatial Wells {
     }
 
     #[test]
+    fn insert_replaces_the_relation_and_drops_its_indexes() {
+        let mut r = runner();
+        r.catalog_mut().build_index("Land", &["x"]).unwrap();
+        r.run("insert into Land { landId = \"C\"; 10 <= x; x <= 12; y = 1 }\n").unwrap();
+        assert!(r.catalog().indexes("Land").is_empty(), "the old index is dropped");
+        let query = "R = select x >= 9 from Land\n";
+        let out = r.run(query).unwrap();
+        assert_eq!(out.len(), 1);
+        assert!(out.contains_point(&[Value::str("C"), Value::int(11), Value::int(1)]).unwrap());
+        // An index rebuilt over the new contents finds the new tuple too.
+        r.catalog_mut().build_index("Land", &["x"]).unwrap();
+        assert_eq!(r.run(query).unwrap(), out);
+        assert!(r.catalog().indexes("Land")[0].accesses() > 0, "the rebuilt index was probed");
+    }
+
+    #[test]
     fn drop_covers_spatial_relations() {
         let mut r = runner();
         let out = r.run("drop Cities

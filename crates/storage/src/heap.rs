@@ -2,7 +2,7 @@
 //!
 //! A heap file is a chain-free bag of pages owned by one relation; the
 //! file tracks its page list, appends records into the last page with room
-//! (first-fit on the tail is enough for an append-mostly constraint store),
+//! (first-fit on the tail is enough for an append-only constraint store),
 //! and scans pages in order. Records are addressed by [`Rid`].
 
 use crate::buffer::BufferPool;
@@ -88,15 +88,7 @@ impl HeapFile {
         .ok_or(StorageError::BadRid(rid))
     }
 
-    /// Deletes a record by id. Returns whether a live record was removed.
-    pub fn delete<D: DiskManager>(&self, pool: &mut BufferPool<D>, rid: Rid) -> Result<bool> {
-        if !self.pages.contains(&rid.page) {
-            return Err(StorageError::BadRid(rid));
-        }
-        pool.with_page_mut(rid.page, |data| SlottedPage::new(data).delete(rid.slot))
-    }
-
-    /// Scans every live record into a vector of `(rid, bytes)`.
+    /// Scans every record into a vector of `(rid, bytes)`.
     ///
     /// Returning materialized records keeps the borrow story simple; the
     /// relations measured in the experiments are scanned page-at-a-time
@@ -115,7 +107,7 @@ impl HeapFile {
         Ok(out)
     }
 
-    /// Number of live records (scans the file).
+    /// Number of records (scans the file).
     pub fn len<D: DiskManager>(&self, pool: &mut BufferPool<D>) -> Result<usize> {
         Ok(self.scan(pool)?.len())
     }
@@ -153,17 +145,6 @@ mod tests {
         }
         assert!(heap.pages().len() >= 3, "1000-byte records, 4 per page");
         assert_eq!(heap.len(&mut pool).unwrap(), 10);
-    }
-
-    #[test]
-    fn delete_hides_record() {
-        let mut pool = pool();
-        let mut heap = HeapFile::create();
-        let r = heap.insert(&mut pool, b"x").unwrap();
-        assert!(heap.delete(&mut pool, r).unwrap());
-        assert!(heap.get(&mut pool, r).is_err());
-        assert_eq!(heap.len(&mut pool).unwrap(), 0);
-        assert!(!heap.delete(&mut pool, r).unwrap());
     }
 
     #[test]

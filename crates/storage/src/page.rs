@@ -6,8 +6,7 @@
 //! 0 is stored as 0xFFFF_FFFF to stay distinct), so an all-zeros page, a
 //! freshly `init`ed one, or a slotted page written before pages were sealed
 //! verifies trivially. The [`BufferPool`](crate::BufferPool) seals every page it
-//! writes back and verifies every page it reads. Raw-byte page users (the
-//! paged R\*-tree) keep their bytes after [`PAGE_HEADER`].
+//! writes back and verifies every page it reads.
 //!
 //! Layout of a slotted page (offsets in bytes):
 //!
@@ -16,8 +15,8 @@
 //! 2..4    offset of the start of the record area (u16, grows downward)
 //! 4..8    page checksum
 //! 8..     slot directory: per slot, record offset (u16) and length (u16);
-//!         a slot with offset 0 is a tombstone (page offsets < 8 are
-//!         impossible for live records)
+//!         an offset below 8 (inside the header, 0 included) cannot come
+//!         from `insert` and reads as absent
 //! ...     free space
 //! ...     records, packed against the end of the page
 //! ```
@@ -29,7 +28,7 @@ pub const PAGE_SIZE: usize = 4096;
 
 /// Bytes at the start of every page reserved for its header (the slotted
 /// layout's counters and the checksum).
-pub const PAGE_HEADER: usize = 8;
+pub(crate) const PAGE_HEADER: usize = 8;
 
 const SLOT: usize = 4;
 
@@ -123,8 +122,8 @@ impl<'a> SlottedPage<'a> {
         self.data[at..at + 2].copy_from_slice(&v.to_le_bytes());
     }
 
-    /// Number of slots (live and tombstoned). A corrupt count is capped at
-    /// what the page can hold, so the directory is never read past its end.
+    /// Number of slots. A corrupt count is capped at what the page can
+    /// hold, so the directory is never read past its end.
     pub fn slot_count(&self) -> usize {
         (self.read_u16(0) as usize).min((PAGE_SIZE - PAGE_HEADER) / SLOT)
     }
@@ -173,17 +172,14 @@ impl<'a> SlottedPage<'a> {
         Ok(slot as u16)
     }
 
-    /// Reads the record in `slot`, or `None` if the slot is a tombstone or
-    /// out of range.
+    /// Reads the record in `slot`, or `None` if the slot is out of range or
+    /// its directory entry does not point at a record.
     pub fn get(&self, slot: u16) -> Option<&[u8]> {
         if slot as usize >= self.slot_count() {
             return None;
         }
         let dir = PAGE_HEADER + slot as usize * SLOT;
         let off = self.read_u16(dir) as usize;
-        if off == 0 {
-            return None;
-        }
         let len = self.read_u16(dir + 2) as usize;
         // A corrupt directory entry must not panic: treat out-of-range
         // records (overrunning the page or reaching into the header) as
@@ -195,22 +191,7 @@ impl<'a> SlottedPage<'a> {
         self.data.get(off..off + len)
     }
 
-    /// Tombstones the record in `slot`. The space is not reclaimed (classic
-    /// lazy deletion; compaction would go here in a full system).
-    pub fn delete(&mut self, slot: u16) -> bool {
-        if slot as usize >= self.slot_count() {
-            return false;
-        }
-        let dir = PAGE_HEADER + slot as usize * SLOT;
-        if self.read_u16(dir) == 0 {
-            return false;
-        }
-        self.write_u16(dir, 0);
-        self.write_u16(dir + 2, 0);
-        true
-    }
-
-    /// Iterates over `(slot, record)` pairs of live records.
+    /// Iterates over `(slot, record)` pairs of the readable records.
     pub fn iter(&self) -> impl Iterator<Item = (u16, &[u8])> + '_ {
         (0..self.slot_count() as u16).filter_map(move |s| self.get(s).map(|r| (s, r)))
     }
@@ -236,17 +217,6 @@ mod tests {
         assert_eq!(p.get(s1), Some(&b"world!"[..]));
         assert_eq!(p.get(99), None);
         assert_eq!(p.slot_count(), 2);
-    }
-
-    #[test]
-    fn delete_tombstones() {
-        let mut data = empty_page();
-        let mut p = SlottedPage::new(&mut data);
-        let s = p.insert(b"gone").unwrap();
-        assert!(p.delete(s));
-        assert_eq!(p.get(s), None);
-        assert!(!p.delete(s)); // double delete is a no-op
-        assert_eq!(p.iter().count(), 0);
     }
 
     #[test]
@@ -362,6 +332,11 @@ mod tests {
         data[dir..dir + 2].copy_from_slice(&2u16.to_le_bytes());
         let p = SlottedPage::new(&mut data);
         assert_eq!(p.get(s), None, "header-pointing record must not panic");
+        // Offset 0, length kept.
+        data[dir..dir + 2].copy_from_slice(&0u16.to_le_bytes());
+        let p = SlottedPage::new(&mut data);
+        assert_eq!(p.get(s), None, "an offset-0 entry reads as absent");
+        assert_eq!(p.iter().count(), 0);
         // A slot count larger than the page can hold.
         data[0..2].copy_from_slice(&u16::MAX.to_le_bytes());
         let p = SlottedPage::new(&mut data);

@@ -78,42 +78,28 @@ proptest! {
         }
     }
 
-    /// Slotted page: interleaved inserts and deletes match a shadow map.
+    /// Slotted page: a run of inserts matches a shadow list, slot for slot.
     #[test]
-    fn slotted_page_vs_shadow(ops in prop::collection::vec(
-        prop_oneof![
-            prop::collection::vec(any::<u8>(), 0..200).prop_map(Op::Insert),
-            any::<u16>().prop_map(Op::Delete),
-        ],
+    fn slotted_page_vs_shadow(records in prop::collection::vec(
+        prop::collection::vec(any::<u8>(), 0..200),
         0..40,
     )) {
         let mut data = vec![0u8; PAGE_SIZE];
         SlottedPage::init(&mut data);
         let mut page = SlottedPage::new(&mut data);
-        let mut shadow: Vec<Option<Vec<u8>>> = Vec::new();
-        for op in ops {
-            match op {
-                Op::Insert(rec) => {
-                    if page.fits(rec.len()) {
-                        let slot = page.insert(&rec).unwrap();
-                        prop_assert_eq!(slot as usize, shadow.len());
-                        shadow.push(Some(rec));
-                    }
-                }
-                Op::Delete(s) => {
-                    if shadow.is_empty() {
-                        continue;
-                    }
-                    let idx = s as usize % shadow.len();
-                    let was_live = shadow[idx].is_some();
-                    prop_assert_eq!(page.delete(idx as u16), was_live);
-                    shadow[idx] = None;
-                }
+        let mut shadow: Vec<Vec<u8>> = Vec::new();
+        for rec in records {
+            if page.fits(rec.len()) {
+                let slot = page.insert(&rec).unwrap();
+                prop_assert_eq!(slot as usize, shadow.len());
+                shadow.push(rec);
             }
         }
         for (i, want) in shadow.iter().enumerate() {
-            prop_assert_eq!(page.get(i as u16), want.as_deref());
+            prop_assert_eq!(page.get(i as u16), Some(want.as_slice()));
         }
+        prop_assert_eq!(page.get(shadow.len() as u16), None);
+        prop_assert_eq!(page.iter().count(), shadow.len());
     }
 
     /// Heap files return exactly what was inserted, regardless of pool size.
@@ -148,10 +134,4 @@ enum V {
     F64(f64),
     Str(String),
     Bytes(Vec<u8>),
-}
-
-#[derive(Debug, Clone)]
-enum Op {
-    Insert(Vec<u8>),
-    Delete(u16),
 }

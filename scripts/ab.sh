@@ -24,6 +24,10 @@
 # averaging them in silently. (On a shared VM steal creeps up by a few
 # ticks in nearly every run; flagging any rise at all would flag all.)
 #
+# Besides the result line's metrics, a record carries the `# NAME VALUE
+# ms (n=…)` latency notes cqabench prints (ingest's write_p50_ms,
+# open_p50_ms and save_p50_ms), counted as lower-is-better for wins.
+#
 # Output: per-pair lines and a per-metric table (medians, interquartile
 # ranges, change-wins) on stderr; on stdout one schema-1 JSON record per
 # workload, one record per line, ready to append to BENCH_cqabench.json:
@@ -45,10 +49,10 @@ all_workloads=$(sed -n 's/.*{"name": *"\([a-z_]*\)", *"why".*/\1/p' BENCHMARK.js
 workloads=${2:-$all_workloads}
 pairs=${3:-10}
 seconds=$(sed -n 's/.*"run_seconds": *\([0-9.]*\).*/\1/p' BENCHMARK.json)
-# "name better" per end-to-end metric, e.g. "throughput_qps higher",
-# separated by ";".
+# "name better" per end-to-end metric and latency note, e.g.
+# "throughput_qps higher", separated by ";".
 directions=$(sed -n 's/.*{"name": *"\([a-z0-9_]*\)",.*"better": *"\([a-z]*\)".*/\1 \2/p' BENCHMARK.json \
-    | paste -sd';' -)
+    | paste -sd';' -)";write_p50_ms lower;open_p50_ms lower;save_p50_ms lower"
 change_rev=$(git rev-parse HEAD)
 if [ -n "$(git status --porcelain --untracked-files=no)" ]; then
     change_rev="$change_rev+dirty"
@@ -92,9 +96,11 @@ run() {
     local metrics
     metrics=$(grep -o '"[a-z0-9_]*":{"value":[-0-9.eE+]*' <<<"$result" \
         | sed 's/^"\([a-z0-9_]*\)":{"value":/\1=/' | paste -sd' ' -)
+    local notes
+    notes=$(sed -n 's/^# \([a-z0-9_]*_ms\) \([-0-9.eE+]*\) ms (n=[0-9]*)$/\1=\2/p' <<<"$out" | paste -sd' ' -)
     local failed
     failed=$(sed -n 's/.*"failed":\([0-9]*\).*/\1/p' <<<"$result")
-    echo "$1 $steal_percent failed=$failed $metrics" >>"$tmp/runs"
+    echo "$1 $steal_percent failed=$failed $metrics $notes" >>"$tmp/runs"
 }
 
 IFS=, read -r -a names <<<"$workloads"

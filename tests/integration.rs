@@ -1,17 +1,15 @@
 //! Cross-crate integration tests: the closure principle end-to-end, the
-//! constraint ⇄ vector ⇄ index pipeline, and the storage-backed index.
+//! constraint ⇄ vector ⇄ index pipeline, and whole features in the algebra.
 
 use cqa::constraints::{Assignment, Var};
 use cqa::core::plan::{CmpOp, Plan, Selection};
 use cqa::core::{
     exec, optimizer, AttrDef, Catalog, ExecOptions, ExecStats, HRelation, Schema, Value,
 };
-use cqa::index::paged::persist;
 use cqa::index::{RStarParams, RStarTree, Rect};
 use cqa::num::Rat;
 use cqa::spatial::decompose::geometry_to_dnf;
 use cqa::spatial::{Feature, Geometry, Point, SpatialRelation};
-use cqa::storage::{BufferPool, MemDisk};
 
 /// The closure principle (§2.5), checked pointwise: a query evaluated
 /// syntactically over constraint tuples gives the same membership answers
@@ -170,30 +168,6 @@ fn index_filter_refine_pipeline() {
         })
         .collect();
     assert_eq!(refined.len(), exact.len(), "filter+refine agrees with exact selection");
-}
-
-/// The paged index through the storage engine returns what the in-memory
-/// index returns, while the buffer pool counts the traffic.
-#[test]
-fn storage_backed_index_roundtrip() {
-    let mut tree: RStarTree<2, u64> = RStarTree::new(RStarParams::with_max(16));
-    for i in 0..500u64 {
-        let x = (i % 25) as f64 * 4.0;
-        let y = (i / 25) as f64 * 4.0;
-        tree.insert(Rect::new([x, y], [x + 2.0, y + 2.0]), i);
-    }
-    let mut pool = BufferPool::new(MemDisk::new(), 8);
-    let paged = persist(&tree, &mut pool).unwrap();
-    pool.clear().unwrap();
-    pool.reset_stats();
-    let q = Rect::new([10.0, 10.0], [30.0, 30.0]);
-    let (mut from_disk, accesses) = paged.search(&mut pool, &q).unwrap();
-    let (mut from_mem, _) = tree.search(&q);
-    from_disk.sort();
-    from_mem.sort();
-    assert_eq!(from_disk, from_mem);
-    assert!(accesses > 0);
-    assert_eq!(pool.stats().logical, accesses);
 }
 
 /// Spatial whole-feature results compose with the full algebra and the
